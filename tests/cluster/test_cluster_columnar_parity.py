@@ -1,117 +1,62 @@
-"""Cluster columnar fast path vs scalar reference: the parity contract.
+"""Router ``replay_ops`` vs the op-by-op oracle: the parity contract.
 
-The cluster simulator's columnar tick pipeline (one
-:meth:`ClusterRouter.replay_ops` call per tick, optionally fanning
-shards out across a thread pool) must be **bit-identical** to the
-one-op-at-a-time scalar path: same 1D/tenant/shard series, same
-finals, same map digests — under adversaries, rebalancing, and the
-per-shard defense, at any fan-out width.  The sweep-engine grid test
-pins the same contract across jobs and executors.
+:meth:`ClusterRouter.replay_ops` (one call per tick, optionally
+fanning shards out across a thread pool) must be **bit-identical** to
+the op-by-op walk of :mod:`replay_oracle` over the router's single-op
+surface: same 1D/tenant/shard series, same finals, same map digests —
+under adversaries, rebalancing, and the per-shard defense, at any
+fan-out width.  The sweep-engine grid test pins the same contract
+across jobs and executors.
 """
 
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    ClusterRouter,
-    ClusterSimulator,
-    Rebalancer,
-    ShardMap,
-    SloWeightedDefense,
-    make_cluster_adversary,
-)
+from replay_oracle import assert_reports_identical, both, cluster, op_by_op
+from repro.cluster import ClusterRouter, ClusterSimulator, ShardMap
 from repro.experiments import cluster_serving
 from repro.workload import TraceSpec, generate_trace
 
 SPEC = TraceSpec(n_base_keys=400, n_ops=1_200, insert_fraction=0.05,
                  n_tenants=3, tenant_layout="skewed", slo_p95=5.0,
                  slo_tier_factor=1.5, seed=17)
-MIX = TraceSpec(n_base_keys=500, n_ops=1_500, insert_fraction=0.12,
-                delete_fraction=0.08, modify_fraction=0.05,
-                range_fraction=0.08, n_tenants=4,
-                tenant_layout="skewed", slo_p95=6.0, seed=23)
-
-
-def build(spec, backend, n_shards, columnar, tick_ops=200,
-          fanout_jobs=1, managed=False, trim=None):
-    trace = generate_trace(spec)
-    shard_map = ShardMap.balanced(trace.base_keys, n_shards,
-                                  spec.domain())
-    kw = {"model_size": 100} if backend in ("rmi", "dynamic") else {}
-    router = ClusterRouter(shard_map, trace.base_keys, backend,
-                           rebuild_threshold=0.12,
-                           trim_keep_fraction=trim,
-                           fanout_jobs=fanout_jobs, **kw)
-    adversary = rebalancer = defense = None
-    if managed:
-        adversary = make_cluster_adversary(
-            "hotshard", trace.base_keys, spec.domain(), 40, 17,
-            victim_range=spec.tenant_ranges()[0])
-        rebalancer = Rebalancer(cooldown_ticks=0, max_shards=8)
-        defense = SloWeightedDefense(spec.tenant_slos(),
-                                     base_threshold=0.12)
-    return ClusterSimulator(router, trace, tick_ops=tick_ops,
-                            adversary=adversary,
-                            rebalancer=rebalancer, defense=defense,
-                            columnar=columnar)
-
-
-def assert_reports_identical(a, b):
-    da, db = a.to_dict(), b.to_dict()
-    assert da == db, {k: (da[k], db[k]) for k in da if da[k] != db[k]}
-    for name in a.series:
-        assert np.array_equal(a.series[name], b.series[name],
-                              equal_nan=True), name
-    for family in ("tenant_series", "shard_series"):
-        mine, theirs = getattr(a, family), getattr(b, family)
-        for name in mine:
-            assert np.array_equal(mine[name], theirs[name],
-                                  equal_nan=True), (family, name)
 
 
 class TestClusterParity:
     @pytest.mark.parametrize("backend", ("rmi", "dynamic", "binary"))
     def test_plain_cluster(self, backend):
-        ref = build(MIX, backend, 4, columnar=False).run()
-        col = build(MIX, backend, 4, columnar=True).run()
+        col, ref = both(cluster, backend)
         assert_reports_identical(col, ref)
 
     @pytest.mark.parametrize("backend", ("rmi", "dynamic"))
     def test_managed_cluster(self, backend):
         """Adversary + rebalancer + per-shard defense, with TRIM."""
-        ref = build(MIX, backend, 4, columnar=False, managed=True,
-                    trim=0.9).run()
-        col = build(MIX, backend, 4, columnar=True, managed=True,
-                    trim=0.9).run()
+        col, ref = both(cluster, backend, managed=True)
         assert_reports_identical(col, ref)
         assert col.injected_poison > 0
 
     def test_odd_tick_sizes(self):
         for tick_ops in (37, 1):
-            ref = build(SPEC, "rmi", 4, columnar=False,
-                        tick_ops=tick_ops).run()
-            col = build(SPEC, "rmi", 4, columnar=True,
-                        tick_ops=tick_ops).run()
+            col, ref = both(cluster, "rmi", spec=SPEC, tick_ops=tick_ops)
             assert_reports_identical(col, ref)
 
     @pytest.mark.parametrize("fanout_jobs", (2, 4))
     def test_fanout_matches_serial(self, fanout_jobs):
         """Concurrent shard fan-out is bit-identical to serial."""
-        ref = build(MIX, "rmi", 4, columnar=False).run()
-        fan = build(MIX, "rmi", 4, columnar=True,
-                    fanout_jobs=fanout_jobs).run()
+        ref = cluster("rmi", prepare=op_by_op)
+        fan = cluster("rmi", fanout_jobs=fanout_jobs)
         assert_reports_identical(fan, ref)
 
     def test_unprovisioned_shard_materialises(self):
         """Inserts landing on an empty shard build it mid-tick on
-        both paths."""
+        both replay arms."""
         spec = TraceSpec(n_base_keys=400, n_ops=800,
                          insert_fraction=0.25, n_tenants=3,
                          tenant_layout="skewed", slo_p95=5.0, seed=17)
         trace = generate_trace(spec)
         empty_split = int(trace.base_keys.max()) + 1
         reports = []
-        for columnar in (True, False):
+        for reference in (False, True):
             shard_map = ShardMap(spec.domain().lo, spec.domain().hi,
                                  (empty_split,))
             router = ClusterRouter(shard_map, trace.base_keys, "rmi",
@@ -119,8 +64,8 @@ class TestClusterParity:
                                    model_size=100)
             assert router.shard(1) is None
             reports.append(ClusterSimulator(
-                router, trace, tick_ops=200,
-                columnar=columnar).run())
+                op_by_op(router) if reference else router, trace,
+                tick_ops=200).run())
         assert_reports_identical(*reports)
 
 
@@ -161,8 +106,8 @@ class TestClusterEdgeCases:
         with pytest.raises(ValueError, match="probe_sample_size"):
             ClusterSimulator(router, trace, probe_sample_size=0)
 
-    @pytest.mark.parametrize("columnar", (True, False))
-    def test_poison_ledger_reconciles(self, columnar):
+    @pytest.mark.parametrize("reference", (False, True))
+    def test_poison_ledger_reconciles(self, reference):
         """emitted == injected + discarded, with a guard-less port
         that wastes budget on the final tick."""
 
@@ -178,15 +123,9 @@ class TestClusterEdgeCases:
                 self.emitted += 5
                 return keys
 
-        trace = generate_trace(SPEC)
-        shard_map = ShardMap.balanced(trace.base_keys, 4,
-                                      SPEC.domain())
-        router = ClusterRouter(shard_map, trace.base_keys, "rmi",
-                               rebuild_threshold=0.12, model_size=100)
         adv = Guardless(int(SPEC.domain().hi) + 1)
-        report = ClusterSimulator(router, trace, tick_ops=200,
-                                  adversary=adv,
-                                  columnar=columnar).run()
+        report = cluster("rmi", spec=SPEC, adversary=adv,
+                         prepare=op_by_op if reference else None)
         assert report.discarded_poison == 5  # the final tick's emit
         assert adv.emitted == (report.injected_poison
                                + report.discarded_poison)
@@ -197,8 +136,8 @@ class TestClusterEdgeCases:
 class TestSweepGridParity:
     def test_jobs_and_executors_agree(self, tmp_path):
         """The cluster grid replays identically at jobs=1/2 on both
-        registered executors (the columnar path runs inside every
-        worker)."""
+        registered executors (the router's ``replay_ops`` runs inside
+        every worker)."""
         config = cluster_serving.ClusterConfig(
             backends=("rmi",), adversaries=("concentrated",),
             n_base_keys=400, n_ops=1_200)

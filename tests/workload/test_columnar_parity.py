@@ -1,12 +1,11 @@
-"""Columnar fast path vs scalar reference: the parity contract.
+"""Columnar ``replay_ops`` vs the op-by-op oracle: the parity contract.
 
-The serving simulator's columnar tick pipeline (the default) must be
-**bit-identical** to the one-op-at-a-time scalar path — same series
-arrays, same finals, same retrain timing, same backend end state.
-These tests pin that contract across the scenario grid: fixed-tick
-and rate-driven replays, closed-loop runs with an adversary and a
-defense tuner, and every registered backend (including the hazard
-fallback and the BTree scalar override).
+Every backend's ``replay_ops`` must be **bit-identical** to the
+op-by-op walk of :mod:`replay_oracle` — same series arrays, same
+finals, same retrain timing, same backend end state.  These tests pin
+that contract across fixed-tick, rate-driven and closed-loop replays
+(adversary plus defense tuner) on every registered backend, and over
+hazard slices, which every backend replays on ``_replay_scalar``.
 
 Satellite regressions ride along: probe-sample validation, the
 poison-budget ledger (``injected_poison + discarded_poison`` equals
@@ -20,95 +19,65 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from replay_oracle import (
+    MIX,
+    assert_reports_identical,
+    both,
+    op_by_op,
+    serve,
+    serving_fixed,
+    serving_loop,
+    serving_rate,
+)
 from repro.workload import (
     BACKENDS,
+    OP_DELETE,
+    OP_INSERT,
+    OP_MODIFY,
+    OP_POISON,
+    OP_QUERY,
+    OP_RANGE,
     AdaptiveAdversary,
     ServingSimulator,
     TraceSpec,
-    TrimAutoTuner,
-    generate_rate_driven_trace,
     generate_trace,
     make_adversary,
-    make_arrival,
     make_backend,
 )
-
-MIX = TraceSpec(n_base_keys=500, n_ops=1_500, insert_fraction=0.12,
-                delete_fraction=0.08, modify_fraction=0.05,
-                range_fraction=0.08, seed=23)
-
-
-def assert_reports_identical(a, b):
-    da, db = a.to_dict(), b.to_dict()
-    assert da == db, {k: (da[k], db[k]) for k in da if da[k] != db[k]}
-    assert sorted(a.series) == sorted(b.series)
-    for name in a.series:
-        assert np.array_equal(a.series[name], b.series[name],
-                              equal_nan=True), name
-
-
-def run_both(spec_or_trace, backend, make_ports=None, **kwargs):
-    trace = (generate_trace(spec_or_trace)
-             if isinstance(spec_or_trace, TraceSpec)
-             else spec_or_trace)
-    reports = []
-    for columnar in (True, False):
-        b = make_backend(backend, trace.base_keys,
-                         rebuild_threshold=0.12)
-        ports = make_ports(trace) if make_ports else {}
-        reports.append(ServingSimulator(
-            b, trace, columnar=columnar, **ports, **kwargs).run())
-    return reports
+from repro.workload.columnar import decompose_ops
 
 
 class TestServingParity:
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_fixed_tick(self, backend):
-        col, ref = run_both(MIX, backend, tick_ops=200)
+        col, ref = both(serving_fixed, backend, tick_ops=200)
         assert_reports_identical(col, ref)
 
     @pytest.mark.parametrize("backend", ("rmi", "dynamic"))
     def test_odd_tick_sizes(self, backend):
         for tick_ops in (37, 1):
-            col, ref = run_both(MIX, backend, tick_ops=tick_ops)
+            col, ref = both(serving_fixed, backend, tick_ops=tick_ops)
             assert_reports_identical(col, ref)
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_rate_driven(self, backend):
-        sizes = make_arrival("poisson", rate=120, seed=9).tick_sizes(8)
-        spec = TraceSpec(n_base_keys=400, n_ops=int(sizes.sum()),
-                         insert_fraction=0.08, delete_fraction=0.05,
-                         range_fraction=0.05, seed=9)
-        trace = generate_rate_driven_trace(spec, sizes)
-        col, ref = run_both(trace, backend, tick_sizes=sizes)
+        col, ref = both(serving_rate, backend)
         assert_reports_identical(col, ref)
 
     @pytest.mark.parametrize("backend", ("rmi", "dynamic"))
     def test_closed_loop_adversary_and_tuner(self, backend):
-        spec = TraceSpec(n_base_keys=500, n_ops=1_600,
-                         insert_fraction=0.10, delete_fraction=0.05,
-                         seed=31)
-
-        def make_ports(trace):
-            return dict(
-                adversary=make_adversary(
-                    "escalate", trace.base_keys,
-                    spec.domain(), 60, 7),
-                tuner=TrimAutoTuner(base_threshold=0.12))
-
-        col, ref = run_both(spec, backend, tick_ops=100,
-                            make_ports=make_ports)
+        col, ref = both(serving_loop, backend)
         assert_reports_identical(col, ref)
         assert col.injected_poison > 0  # the loop actually closed
 
     def test_backend_end_state_matches(self):
         trace = generate_trace(MIX)
         backends = []
-        for columnar in (True, False):
+        for reference in (False, True):
             b = make_backend("dynamic", trace.base_keys,
                              rebuild_threshold=0.12)
-            ServingSimulator(b, trace, tick_ops=200,
-                             columnar=columnar).run()
+            ServingSimulator(op_by_op(b) if reference else b, trace,
+                             tick_ops=200).run()
             backends.append(b)
         col, ref = backends
         assert col.retrain_count == ref.retrain_count
@@ -160,17 +129,14 @@ class _GuardlessAdversary(AdaptiveAdversary):
 
 
 class TestPoisonLedger:
-    @pytest.mark.parametrize("columnar", (True, False))
-    def test_budget_reconciles_with_discards(self, columnar):
+    @pytest.mark.parametrize("reference", (False, True))
+    def test_budget_reconciles_with_discards(self, reference):
         spec = TraceSpec(n_base_keys=400, n_ops=900, seed=11)
         trace = generate_trace(spec)
         adv = _GuardlessAdversary(trace.base_keys, spec.domain(),
                                   budget=1_000, seed=3)
-        backend = make_backend("rmi", trace.base_keys,
-                               rebuild_threshold=0.12)
-        report = ServingSimulator(backend, trace, tick_ops=200,
-                                  adversary=adv,
-                                  columnar=columnar).run()
+        report = serve(trace, "rmi", op_by_op if reference else None,
+                       tick_ops=200, adversary=adv)
         # The final observation's keys have no tick left to land in.
         assert report.discarded_poison > 0
         assert (adv._emitted
@@ -193,25 +159,24 @@ class TestPoisonLedger:
 
 class TestRechunkInvariance:
     """Replay metrics are a function of the op stream, not of how the
-    stream is cut into ticks — on both serving paths."""
+    stream is cut into ticks — on both replay arms."""
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1),
            tick_ops=st.sampled_from((50, 81, 200)),
            backend=st.sampled_from(("binary", "rmi", "dynamic")),
-           columnar=st.booleans())
+           reference=st.booleans())
     def test_totals_survive_rechunking(self, seed, tick_ops, backend,
-                                       columnar):
+                                       reference):
         spec = TraceSpec(n_base_keys=300, n_ops=600,
                          insert_fraction=0.10, delete_fraction=0.05,
                          range_fraction=0.05, seed=seed)
         trace = generate_trace(spec)
         runs = []
         for ticks in (tick_ops, trace.n_ops):
-            b = make_backend(backend, trace.base_keys,
-                             rebuild_threshold=0.12)
-            runs.append(ServingSimulator(
-                b, trace, tick_ops=ticks, columnar=columnar).run())
+            runs.append(serve(trace, backend,
+                              op_by_op if reference else None,
+                              tick_ops=ticks))
         a, whole = runs
         # Tick-size-independent aggregates: the probe stream and the
         # query hit totals are identical, so the finals agree.
@@ -221,3 +186,45 @@ class TestRechunkInvariance:
         assert a.mean_probes == whole.mean_probes
         assert a.found_fraction == whole.found_fraction
         assert a.retrains == whole.retrains
+
+
+@st.composite
+def hazard_slice(draw):
+    """Random ops over a small key pool (so mutations collide), plus
+    one key both inserted and deleted, in either order."""
+    ops = draw(st.lists(st.tuples(
+        st.sampled_from((OP_QUERY, OP_RANGE, OP_INSERT, OP_DELETE,
+                         OP_MODIFY, OP_POISON)),
+        st.integers(0, 120), st.integers(0, 120)), max_size=30))
+    key = draw(st.integers(0, 120))
+    for kind in (OP_INSERT, OP_DELETE):
+        ops.insert(draw(st.integers(0, len(ops))), (kind, key, 0))
+    kinds, keys, aux = (np.asarray(col, dtype=np.int64)
+                        for col in zip(*ops))
+    aux = np.where(kinds == OP_RANGE, keys + aux, aux)  # range hi
+    return kinds.astype(np.int8), keys, aux
+
+
+class TestHazardFallback:
+    """A slice whose insert and delete keys overlap replays on every
+    backend's ``_replay_scalar``; generated traces never hold one."""
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @settings(max_examples=25, deadline=None)
+    @given(slices=st.lists(hazard_slice(), min_size=1, max_size=3))
+    def test_hazard_slices_match_the_oracle(self, backend, slices):
+        base = np.arange(0, 400, 4, dtype=np.int64)
+        col, ref = (make_backend(backend, base, rebuild_threshold=0.05)
+                    for _ in range(2))
+        op_by_op(ref)
+        for kinds, keys, aux in slices:
+            ops = decompose_ops(kinds, keys, aux)
+            assert ops.hazard
+            found, probes = col.replay_ops(kinds, keys, aux)
+            ref_found, ref_probes = ref.replay_ops(kinds, keys, aux)
+            queries = ops.read_is_query
+            assert np.array_equal(found[queries], ref_found[queries])
+            assert np.array_equal(probes, ref_probes)
+            assert col.retrain_count == ref.retrain_count
+            assert col.n_keys == ref.n_keys
+            assert col.state_digest() == ref.state_digest()
