@@ -12,10 +12,9 @@ writes the numbers as ``BENCH_workload.json`` (schema
 sections are additive) — the wall-clock perf trajectory the ROADMAP
 asks for, now spanning four PRs of surface.
 
-The replay sections time both serving paths — the columnar tick
-pipeline (the headline ``ops_per_second``) and the scalar reference
-(``ops_per_second_scalar``) — and assert their reports identical
-before recording the speedup.
+The replay sections time the production tick pipeline only; its
+parity with the op-by-op reference is pinned by the parity suites and
+the golden replay digests under ``tests/``.
 
 Run standalone with::
 
@@ -110,13 +109,7 @@ def bench_batched_lookup() -> tuple[str, dict]:
 
 
 def bench_serving_replay() -> tuple[str, dict]:
-    """One quick streaming scenario end to end, per backend.
-
-    Runs the columnar tick pipeline (the default, and the headline
-    ``ops_per_second``) and the scalar reference path on the same
-    trace; the reports must agree bit-for-bit, so the speedup column
-    is pure interpreter overhead removed.
-    """
+    """One quick streaming scenario end to end, per backend."""
     spec = TraceSpec(n_base_keys=5_000, n_ops=20_000,
                      query_mix="zipfian", insert_fraction=0.05,
                      delete_fraction=0.02, modify_fraction=0.02,
@@ -126,36 +119,24 @@ def bench_serving_replay() -> tuple[str, dict]:
     rows = []
     record: dict = {}
     for name in ("binary", "rmi", "dynamic"):
-        reports = {}
-        for columnar in (True, False):
-            backend = make_backend(name, trace.base_keys)
-            reports[columnar] = ServingSimulator(
-                backend, trace, tick_ops=1000,
-                columnar=columnar).run()
-        col, ref = reports[True], reports[False]
-        assert col.to_dict() == ref.to_dict()  # the parity contract
-        ops_per_s = trace.n_ops / col.wall_seconds
-        scalar_ops_per_s = trace.n_ops / ref.wall_seconds
-        speedup = ops_per_s / scalar_ops_per_s
-        rows.append([name, f"{col.wall_seconds * 1e3:.0f}ms",
-                     f"{ops_per_s:,.0f}", f"{scalar_ops_per_s:,.0f}",
-                     f"{speedup:.1f}x", f"{col.p99:.1f}",
-                     f"{col.final_amplification:.2f}x"])
+        report = ServingSimulator(make_backend(name, trace.base_keys),
+                                  trace, tick_ops=1000).run()
+        ops_per_s = trace.n_ops / report.wall_seconds
+        rows.append([name, f"{report.wall_seconds * 1e3:.0f}ms",
+                     f"{ops_per_s:,.0f}", f"{report.p99:.1f}",
+                     f"{report.final_amplification:.2f}x"])
         record[name] = {
-            "wall_seconds": col.wall_seconds,
+            "wall_seconds": report.wall_seconds,
             "ops_per_second": ops_per_s,
-            "wall_seconds_scalar": ref.wall_seconds,
-            "ops_per_second_scalar": scalar_ops_per_s,
-            "speedup": io.json_float(speedup),
-            "p99_probes": io.json_float(col.p99),
+            "p99_probes": io.json_float(report.p99),
             "amplification": io.json_float(
-                col.final_amplification),
+                report.final_amplification),
         }
     table = (section(f"serving replay — {spec.n_ops} ops, "
                      f"{spec.n_base_keys} base keys, drip poison")
              + "\n" + render_table(
-                 ["backend", "wall", "ops/s", "scalar ops/s",
-                  "speedup", "p99 probes", "amplif."], rows))
+                 ["backend", "wall", "ops/s", "p99 probes", "amplif."],
+                 rows))
     return table, record
 
 
@@ -250,9 +231,7 @@ def bench_cluster() -> tuple[str, dict]:
             "placement_gap": io.json_float(static - uniform),
             "management_recovered": io.json_float(static - managed),
         }
-    # Raw replay throughput: one larger sharded scenario per backend,
-    # columnar (the headline) vs the scalar reference, same parity
-    # contract as the single-backend section.
+    # Raw replay throughput: one larger sharded scenario per backend.
     from repro.cluster import ClusterRouter, ClusterSimulator, ShardMap
 
     spec = TraceSpec(n_base_keys=5_000, n_ops=20_000,
@@ -265,31 +244,19 @@ def bench_cluster() -> tuple[str, dict]:
     for backend in config.backends:
         kw = ({"model_size": config.model_size}
               if backend in ("rmi", "dynamic") else {})
-        reports = {}
-        for columnar in (True, False):
-            shard_map = ShardMap.balanced(trace.base_keys, 4,
-                                          spec.domain())
-            router = ClusterRouter(
-                shard_map, trace.base_keys, backend,
-                rebuild_threshold=config.rebuild_threshold, **kw)
-            reports[columnar] = ClusterSimulator(
-                router, trace, tick_ops=1000,
-                columnar=columnar).run()
-        col, ref = reports[True], reports[False]
-        assert col.to_dict() == ref.to_dict()  # the parity contract
-        ops_per_s = trace.n_ops / col.wall_seconds
-        scalar_ops_per_s = trace.n_ops / ref.wall_seconds
-        speedup = ops_per_s / scalar_ops_per_s
+        shard_map = ShardMap.balanced(trace.base_keys, 4,
+                                      spec.domain())
+        router = ClusterRouter(
+            shard_map, trace.base_keys, backend,
+            rebuild_threshold=config.rebuild_threshold, **kw)
+        report = ClusterSimulator(router, trace, tick_ops=1000).run()
+        ops_per_s = trace.n_ops / report.wall_seconds
         throughput_rows.append([
-            backend, f"{col.wall_seconds * 1e3:.0f}ms",
-            f"{ops_per_s:,.0f}", f"{scalar_ops_per_s:,.0f}",
-            f"{speedup:.1f}x"])
+            backend, f"{report.wall_seconds * 1e3:.0f}ms",
+            f"{ops_per_s:,.0f}"])
         record[backend].update({
-            "wall_seconds_replay": col.wall_seconds,
+            "wall_seconds_replay": report.wall_seconds,
             "ops_per_second": ops_per_s,
-            "wall_seconds_scalar": ref.wall_seconds,
-            "ops_per_second_scalar": scalar_ops_per_s,
-            "speedup": io.json_float(speedup),
         })
     table = (section(f"cluster duel — {len(result.rows)} cells, "
                      f"{wall:.1f}s wall, victim tenant 0")
@@ -299,8 +266,7 @@ def bench_cluster() -> tuple[str, dict]:
              + "\n\n" + section(
                  f"cluster replay — {spec.n_ops} ops, 4 shards")
              + "\n" + render_table(
-                 ["backend", "wall", "ops/s", "scalar ops/s",
-                  "speedup"], throughput_rows))
+                 ["backend", "wall", "ops/s"], throughput_rows))
     return table, record
 
 

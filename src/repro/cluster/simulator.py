@@ -23,9 +23,11 @@ boundaries, and records three families of series:
 
 All metrics are deterministic cost proxies (probe counts, key
 counts), so a cluster cell keeps the jobs/executor parity guarantee
-of every other sweep on the engine.  Mutations apply one op at a
-time, reads batch per same-kind run — retrain *and* rebalance timing
-are invariant under batching by construction.
+of every other sweep on the engine.  The replay loop is the serving
+simulator's :class:`~repro.workload.simulator.TickDriver`: each tick
+is one :meth:`ClusterRouter.replay_ops` call, which fires every shard
+retrain at the exact op where it would fire one op at a time, and
+rebalancing happens only at tick boundaries.
 
 Cluster adversaries
 -------------------
@@ -69,16 +71,8 @@ from ..observe.metrics import MetricsRegistry
 from ..observe.metrics import active as observe_active
 from ..runtime import stable_seed_words
 from ..workload.closedloop import AdaptiveAdversary
-from ..workload.simulator import TickObservation, last_finite
-from ..workload.trace import (
-    OP_DELETE,
-    OP_INSERT,
-    OP_MODIFY,
-    OP_POISON,
-    OP_QUERY,
-    OP_RANGE,
-    Trace,
-)
+from ..workload.simulator import TickDriver, TickObservation, last_finite
+from ..workload.trace import Trace
 from .rebalance import Rebalancer, SloWeightedDefense
 from .router import ClusterRouter
 
@@ -463,7 +457,7 @@ class ClusterSimulator:
         (drawn deterministically from each tenant's base keys).
     adversary:
         Optional cluster feedback port; returned keys are injected at
-        the start of the next tick, one op at a time.
+        the start of the next tick, ahead of its stream.
     rebalancer:
         Optional :class:`Rebalancer`; its split/merge decisions apply
         at tick boundaries and their migration cost lands in the
@@ -471,11 +465,6 @@ class ClusterSimulator:
     defense:
         Optional :class:`SloWeightedDefense`; per-shard decisions
         apply through the router's shard tuner hooks every tick.
-    columnar:
-        Serve each tick as one :meth:`ClusterRouter.replay_ops` call
-        (the default fast path) instead of one router call per op
-        run.  Both paths produce bit-identical reports; the scalar
-        path remains as the parity reference.
     """
 
     def __init__(self, router: ClusterRouter, trace: Trace,
@@ -483,7 +472,6 @@ class ClusterSimulator:
                  adversary: "ClusterAdversaryPort | None" = None,
                  rebalancer: "Rebalancer | None" = None,
                  defense: "SloWeightedDefense | None" = None,
-                 columnar: bool = True,
                  metrics: "MetricsRegistry | None" = None):
         if tick_ops < 1:
             raise ValueError(f"tick_ops must be >= 1: {tick_ops}")
@@ -500,7 +488,6 @@ class ClusterSimulator:
         self._adversary = adversary
         self._rebalancer = rebalancer
         self._defense = defense
-        self._columnar = bool(columnar)
         # Opt-in instrumentation (explicit registry wins, else the
         # process-installed one); forwarded to the router so shard
         # backends and the transport book report into the same sink.
@@ -546,66 +533,35 @@ class ClusterSimulator:
     def run(self) -> ClusterReport:
         """Replay the whole trace; returns the metrics report."""
         trace, router, spec = self._trace, self._router, self._spec
-        kinds, keys, aux = trace.kinds, trace.keys, trace.aux
-        n = trace.n_ops
         started = time.perf_counter()
         initial_digest = router.shard_map.digest
         baselines = np.asarray(
             [self._sample_cost(t) for t in range(self._n_tenants)])
-
-        n_ticks = -(-n // self._tick_ops)  # ceil
-        bounds = np.minimum(
-            (np.arange(n_ticks, dtype=np.int64) + 1) * self._tick_ops,
-            n)
-
-        series: dict[str, list[float]] = {
-            name: [] for name in _CLUSTER_SERIES}
+        driver = TickDriver(router, trace, self._tick_ops, None,
+                            _CLUSTER_SERIES, "cluster", self._metrics)
+        series = driver.series
         tenant_rows: dict[str, list[np.ndarray]] = {
             name: [] for name in _TENANT_SERIES}
         shard_rows: dict[str, list[np.ndarray]] = {
             name: [] for name in _SHARD_SERIES}
-
-        all_probes: list[np.ndarray] = []
-        tick_probes: list[np.ndarray] = []
-        tick_tenants: list[np.ndarray] = []
-        tick_shards: list[np.ndarray] = []
-        found_total = 0
-        query_total = 0
-        injected_total = 0
         migrated_total = 0
-        last_retrains = 0
-        pending_inject = np.empty(0, dtype=np.int64)
         migrated_at_boundary = 0
 
-        def close_tick(injected: int, migrated: int) -> None:
-            merged = (np.concatenate(tick_probes) if tick_probes
-                      else np.empty(0, dtype=np.int64))
-            tenants = (np.concatenate(tick_tenants) if tick_tenants
-                       else np.empty(0, dtype=np.int64))
-            shards = (np.concatenate(tick_shards) if tick_shards
-                      else np.empty(0, dtype=np.int64))
-            if merged.size:
-                p50, p95, p99 = np.percentile(merged, (50, 95, 99))
-                mean = float(merged.mean())
-            else:
-                p50 = p95 = p99 = mean = float("nan")
+        def close_tick(tick: int, read_keys: np.ndarray,
+                       probes: np.ndarray) -> dict[str, int]:
+            nonlocal migrated_at_boundary
+            migrated, migrated_at_boundary = migrated_at_boundary, 0
+            tenants = spec.tenant_of(read_keys)
+            shards = router.shard_map.route(read_keys)
             loads = router.drain_tick_loads()
-            series["p50"].append(float(p50))
-            series["p95"].append(float(p95))
-            series["p99"].append(float(p99))
-            series["mean_probes"].append(mean)
-            series["error_bound"].append(router.error_bound())
-            series["retrains"].append(float(router.retrain_count))
-            series["n_keys"].append(float(router.n_keys))
             series["n_shards"].append(float(router.n_shards))
             series["imbalance"].append(
                 ClusterRouter.imbalance(loads))
             series["migrated"].append(float(migrated))
-            series["injected"].append(float(injected))
 
             tenant_p95 = np.full(self._n_tenants, np.nan)
             for tenant in range(self._n_tenants):
-                own = merged[tenants == tenant]
+                own = probes[tenants == tenant]
                 if own.size:
                     tenant_p95[tenant] = float(
                         np.percentile(own, 95))
@@ -619,7 +575,7 @@ class ClusterSimulator:
 
             shard_p95 = np.full(router.n_shards, np.nan)
             for shard in range(router.n_shards):
-                own = merged[shards == shard]
+                own = probes[shards == shard]
                 if own.size:
                     shard_p95[shard] = float(np.percentile(own, 95))
             shard_rows["shard_loads"].append(
@@ -643,42 +599,9 @@ class ClusterSimulator:
             series["degraded"].append(float(degraded))
             series["flagged"].append(float(flagged))
             series["latency_ms"].append(float(latency_ms))
-
-            all_probes.extend(tick_probes)
-            tick_probes.clear()
-            tick_tenants.clear()
-            tick_shards.clear()
-
-        def observe(tick: int) -> ClusterTickObservation:
-            nonlocal last_retrains
-            retrains = int(series["retrains"][-1])
-            obs = ClusterTickObservation(
-                tick=tick,
-                ticks_total=int(bounds.size),
-                p95=last_finite(series["p95"], float("nan")),
-                mean_probes=last_finite(series["mean_probes"],
-                                        float("nan")),
-                retrains=retrains,
-                retrains_delta=retrains - last_retrains,
-                n_keys=int(series["n_keys"][-1]),
-                n_shards=int(series["n_shards"][-1]),
-                imbalance=float(series["imbalance"][-1]),
-                injected_total=injected_total,
-                migrated_total=migrated_total,
-                tenant_p95=tuple(
-                    float(v) for v in tenant_rows["tenant_p95"][-1]),
-                tenant_amplification=tuple(
-                    float(v)
-                    for v in tenant_rows["tenant_amplification"][-1]),
-                shard_loads=tuple(
-                    int(v) for v in shard_rows["shard_loads"][-1]),
-                shard_p95=tuple(
-                    float(v) for v in shard_rows["shard_p95"][-1]),
-                shard_ranges=tuple(
-                    router.shard_map.shard_range(s)
-                    for s in range(router.n_shards)))
-            last_retrains = retrains
-            return obs
+            return {"migrated": migrated,
+                    "n_shards": int(series["n_shards"][-1]),
+                    "retrains": int(series["retrains"][-1])}
 
         def apply_defense(obs: ClusterTickObservation) -> None:
             tenant_amp = np.asarray(obs.tenant_amplification)
@@ -707,148 +630,52 @@ class ClusterSimulator:
                 router.set_shard_trim_keep_fraction(shard, keep)
                 router.set_shard_rebuild_threshold(shard, threshold)
 
-        start = 0
-        metrics = self._metrics
-        for tick_index, tick_end in enumerate(bounds):
-            tick_started = (time.perf_counter()
-                            if metrics is not None else 0.0)
-            tick_start_op = start
-            router.start_tick(tick_index)
-            injected_this_tick = int(pending_inject.size)
-            migrated_this_tick = migrated_at_boundary
-            migrated_at_boundary = 0
+        def feedback(tick: int) -> "np.ndarray | None":
+            nonlocal migrated_at_boundary, migrated_total
+            if (self._adversary is None and self._defense is None
+                    and self._rebalancer is None):
+                return None
+            obs = ClusterTickObservation(
+                **driver.observed(tick),
+                n_shards=int(series["n_shards"][-1]),
+                imbalance=float(series["imbalance"][-1]),
+                migrated_total=migrated_total,
+                tenant_p95=tuple(
+                    float(v) for v in tenant_rows["tenant_p95"][-1]),
+                tenant_amplification=tuple(
+                    float(v)
+                    for v in tenant_rows["tenant_amplification"][-1]),
+                shard_loads=tuple(
+                    int(v) for v in shard_rows["shard_loads"][-1]),
+                shard_p95=tuple(
+                    float(v) for v in shard_rows["shard_p95"][-1]),
+                shard_ranges=tuple(
+                    router.shard_map.shard_range(s)
+                    for s in range(router.n_shards)))
+            if self._defense is not None:
+                apply_defense(obs)
+            # No topology change after the final tick: nothing would
+            # serve under the new map, and the migration cost would
+            # have no tick row left to land in (the same guard the
+            # adversary port applies to its keys).
+            last_tick = tick >= driver.bounds.size - 1
+            if self._rebalancer is not None and not last_tick:
+                decision = self._rebalancer.decide(
+                    np.asarray(obs.shard_loads, dtype=np.int64),
+                    np.asarray(obs.shard_p95),
+                    router.shard_n_keys())
+                if decision is not None:
+                    if decision.kind == "split":
+                        moved = router.split_shard(decision.shard)
+                    else:
+                        moved = router.merge_shards(decision.shard)
+                    migrated_at_boundary += moved
+                    migrated_total += moved
+            if self._adversary is None:
+                return None
+            return self._adversary(obs)
 
-            if self._columnar:
-                # One router.replay_ops call per tick: pending poison
-                # rides along as a synthetic OP_POISON prefix, so it
-                # lands before the tick's ops exactly as the per-key
-                # injection loop would.
-                t_kinds = kinds[start:tick_end]
-                t_keys = keys[start:tick_end]
-                t_aux = aux[start:tick_end]
-                if injected_this_tick:
-                    t_kinds = np.concatenate([
-                        np.full(injected_this_tick, OP_POISON,
-                                dtype=kinds.dtype), t_kinds])
-                    t_keys = np.concatenate([pending_inject, t_keys])
-                    t_aux = np.concatenate([
-                        np.zeros(injected_this_tick, dtype=np.int64),
-                        t_aux])
-                injected_total += injected_this_tick
-                pending_inject = np.empty(0, dtype=np.int64)
-                found, probes = router.replay_ops(t_kinds, t_keys,
-                                                  t_aux)
-                reads = ((t_kinds == OP_QUERY)
-                         | (t_kinds == OP_RANGE))
-                if probes.size:
-                    read_keys = t_keys[reads]
-                    tick_probes.append(probes)
-                    tick_tenants.append(spec.tenant_of(read_keys))
-                    tick_shards.append(
-                        router.shard_map.route(read_keys))
-                is_query = t_kinds[reads] == OP_QUERY
-                found_total += int(found[is_query].sum())
-                query_total += int(is_query.sum())
-                start = tick_end
-            else:
-                for key in pending_inject:
-                    router.insert_batch(key[np.newaxis])
-                injected_total += injected_this_tick
-                pending_inject = np.empty(0, dtype=np.int64)
-                while start < tick_end:
-                    kind = kinds[start]
-                    stop = start + 1
-                    while stop < tick_end and kinds[stop] == kind:
-                        stop += 1
-                    run_keys = keys[start:stop]
-                    if kind == OP_QUERY:
-                        found, probes = router.lookup_batch(run_keys)
-                        tick_probes.append(probes)
-                        tick_tenants.append(spec.tenant_of(run_keys))
-                        tick_shards.append(
-                            router.shard_map.route(run_keys))
-                        found_total += int(found.sum())
-                        query_total += int(found.size)
-                    elif kind == OP_RANGE:
-                        probes = np.asarray(
-                            [router.range_scan(int(lo), int(hi))
-                             for lo, hi in zip(run_keys,
-                                               aux[start:stop])],
-                            dtype=np.int64)
-                        tick_probes.append(probes)
-                        tick_tenants.append(spec.tenant_of(run_keys))
-                        tick_shards.append(
-                            router.shard_map.route(run_keys))
-                    elif kind in (OP_INSERT, OP_POISON):
-                        for key in run_keys:
-                            router.insert_batch(key[np.newaxis])
-                    elif kind == OP_DELETE:
-                        for key in run_keys:
-                            router.delete_batch(key[np.newaxis])
-                    elif kind == OP_MODIFY:
-                        for key, new in zip(run_keys, aux[start:stop]):
-                            router.delete_batch(key[np.newaxis])
-                            router.insert_batch(new[np.newaxis])
-                    else:  # pragma: no cover - generator never emits
-                        raise ValueError(f"unknown op kind: {kind}")
-                    start = stop
-
-            close_tick(injected_this_tick, migrated_this_tick)
-            if metrics is not None:
-                metrics.observe("cluster.tick",
-                                time.perf_counter() - tick_started)
-                metrics.inc("cluster.ticks")
-                metrics.inc("cluster.ops",
-                            int(tick_end - tick_start_op)
-                            + injected_this_tick)
-                metrics.trace(
-                    "cluster.tick", tick=tick_index,
-                    ops=int(tick_end - tick_start_op),
-                    injected=injected_this_tick,
-                    migrated=migrated_this_tick,
-                    n_shards=int(series["n_shards"][-1]),
-                    retrains=int(series["retrains"][-1]))
-            needs_ports = (self._adversary is not None
-                           or self._defense is not None
-                           or self._rebalancer is not None)
-            if needs_ports:
-                obs = observe(tick_index)
-                if self._defense is not None:
-                    apply_defense(obs)
-                # No topology change after the final tick: nothing
-                # would serve under the new map, and the migration
-                # cost would have no tick row left to land in (the
-                # same guard the adversary port applies to its keys).
-                last_tick = tick_index >= bounds.size - 1
-                if self._rebalancer is not None and not last_tick:
-                    decision = self._rebalancer.decide(
-                        np.asarray(obs.shard_loads, dtype=np.int64),
-                        np.asarray(obs.shard_p95),
-                        router.shard_n_keys())
-                    if decision is not None:
-                        if decision.kind == "split":
-                            moved = router.split_shard(decision.shard)
-                        else:
-                            moved = router.merge_shards(decision.shard)
-                        migrated_at_boundary += moved
-                        migrated_total += moved
-                if self._adversary is not None:
-                    crafted = self._adversary(obs)
-                    if crafted is not None:
-                        pending_inject = np.asarray(crafted,
-                                                    dtype=np.int64)
-
-        probes_flat = (np.concatenate(all_probes) if all_probes
-                       else np.empty(0, dtype=np.int64))
-        if probes_flat.size:
-            p50, p95, p99 = (float(v) for v in
-                             np.percentile(probes_flat, (50, 95, 99)))
-            mean = float(probes_flat.mean())
-        else:
-            p50 = last_finite(series["p50"])
-            p95 = last_finite(series["p95"])
-            p99 = last_finite(series["p99"])
-            mean = last_finite(series["mean_probes"])
+        driver.run(close_tick, feedback, open_tick=router.start_tick)
 
         tenant_arrays = {
             name: np.vstack(rows)
@@ -886,20 +713,13 @@ class ClusterSimulator:
             spec_digest=spec.digest,
             initial_map_digest=initial_digest,
             final_map_digest=router.shard_map.digest,
-            n_ops=n,
+            n_ops=trace.n_ops,
             tick_ops=self._tick_ops,
             n_tenants=self._n_tenants,
-            series={name: np.asarray(values, dtype=np.float64)
-                    for name, values in series.items()},
+            **driver.finals(),
             tenant_series=tenant_arrays,
             shard_series=shard_arrays,
-            p50=p50, p95=p95, p99=p99,
-            mean_probes=mean,
-            found_fraction=(found_total / query_total if query_total
-                            else 0.0),
             retrains=int(router.retrain_count),
-            injected_poison=injected_total,
-            discarded_poison=int(pending_inject.size),
             migrated_keys=migrated_total,
             final_n_shards=int(router.n_shards),
             max_imbalance=float(np.max(series["imbalance"]))

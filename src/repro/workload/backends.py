@@ -28,8 +28,9 @@ need op-exact retrain timing have ``replay_ops``: it applies a whole
 op slice (reads and mutations interleaved) with vectorized
 classification and batched window searches while firing every rebuild
 at the same op index the one-key-at-a-time feed would — the columnar
-fast path the serving simulator runs on, pinned bit-identical to the
-scalar feed by the parity suite.
+fast path, pinned bit-identical to the op-by-op oracle of
+``tests/replay_oracle.py`` (hazard slices and the B-Tree replay on
+``_replay_scalar``, that walk over sub-ops).
 Probe counts always reflect the *actual* searches performed —
 model + delta + quarantine — so a swollen side table or a poisoned
 retrain shows up in the latency percentiles honestly.

@@ -1,9 +1,9 @@
 """Columnar replay machinery: sequential-exact batch application.
 
-The scalar serving loop feeds mutations to a backend one operation at
-a time so the rebuild threshold fires at the exact op index (the
-op-exact retrain contract every recorded series depends on).  The
-columnar fast path keeps that contract while applying a whole tick at
+Fed one operation at a time, a backend fires its rebuild threshold at
+the exact op index where pending updates cross it (the op-exact
+retrain contract every recorded series depends on).  The columnar
+``replay_ops`` keeps that contract while applying a whole tick at
 once; this module holds its backend-agnostic machinery:
 
 * :func:`decompose_ops` splits an op slice into *read slots* (queries
@@ -27,9 +27,9 @@ not depend on *earlier sub-ops of the other kind* in the same slice:
 deleted in one slice, and every backend falls back to the per-sub-op
 scalar walk for such slices.  Everything else — first-occurrence
 rules, threshold-crossing splits, chunked read adjustment — is pinned
-bit-identical to the scalar path by
-``tests/workload/test_columnar_parity.py`` and
-``tests/cluster/test_cluster_columnar_parity.py``.
+bit-identical to the op-by-op oracle of ``tests/replay_oracle.py`` by
+the parity suites (``tests/*/test*_columnar_parity.py``); inside a
+backend, ``ServingBackend._replay_scalar`` is that walk over sub-ops.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Replay a trace against a live backend and record its vitals.
 
 The simulator consumes a :class:`~repro.workload.trace.Trace` in
-order, batching runs of consecutive point queries through the
-backend's vectorized ``lookup_batch`` (the hot path).  State
-mutations are applied strictly one operation at a time: a backend's
-rebuild threshold fires at exactly the same op whether the trace is
-replayed batched or op-at-a-time, so the recorded metrics are
-invariant under batching and tick size.
+order, one tick per call to the backend's ``replay_ops``, which fires
+every rebuild at the exact op where pending updates cross the
+threshold, so the recorded metrics are invariant under tick size.
+:class:`TickDriver` is that loop, shared with the cluster simulator;
+the op-by-op reference it is pinned against is
+``tests/replay_oracle.py``.
 
 All recorded metrics are **deterministic cost proxies** — probe
 counts, not nanoseconds — which is what lets a workload cell produce
@@ -40,7 +40,7 @@ tick never feeds NaN into a policy) through two feedback ports:
 * ``adversary(observation)`` may return crafted keys; they are
   injected at the start of the *next* tick (an attacker reacting to
   observed latency) — as synthetic poison ops ahead of the tick's
-  stream, so retrain timing stays op-exact on either replay path;
+  stream, so retrain timing stays op-exact;
 * ``tuner(observation)`` may return a :class:`TunerDecision`; the
   simulator applies it to the backend's ``set_trim_keep_fraction`` /
   ``set_rebuild_threshold`` hooks and logs the values now in force.
@@ -67,20 +67,11 @@ from ..observe.metrics import MetricsRegistry
 from ..observe.metrics import active as observe_active
 from ..runtime import stable_seed_words
 from .backends import ServingBackend
-from .trace import (
-    OP_DELETE,
-    OP_INSERT,
-    OP_MODIFY,
-    OP_POISON,
-    OP_QUERY,
-    OP_RANGE,
-    Trace,
-)
+from .trace import OP_POISON, OP_QUERY, OP_RANGE, Trace
 
-__all__ = ["ServingReport", "ServingSimulator", "TickObservation",
-           "TunerDecision", "last_finite"]
+__all__ = ["ServingReport", "ServingSimulator", "TickDriver",
+           "TickObservation", "TunerDecision", "last_finite"]
 
-_READ_OPS = (OP_QUERY, OP_RANGE)
 _SERIES = ("p50", "p95", "p99", "mean_probes", "error_bound",
            "retrains", "amplification", "n_keys")
 _LOOP_SERIES = ("injected", "keep_fraction", "rebuild_threshold")
@@ -217,6 +208,151 @@ class ServingReport:
         }
 
 
+class TickDriver:
+    """The tick loop both simulators run.
+
+    Per tick: keys the previous tick's ``feedback`` queued land first,
+    as an ``OP_POISON`` prefix; the slice goes to the target in one
+    ``replay_ops`` call, looked up on the instance every tick (so a
+    caller may shadow it); the driver records the row both reports
+    share (probe percentiles, error bound, retrains, live keys, keys
+    injected) and ``close_tick`` the simulator's own channels; the
+    ``<prefix>.tick``/``.ticks``/``.ops`` metrics and ``feedback``
+    follow.  Keys still queued when the trace ends are discarded.
+    """
+
+    def __init__(self, target: Any, trace: Trace, tick_ops: int,
+                 tick_sizes: "np.ndarray | None",
+                 series: Sequence[str], prefix: str,
+                 metrics: "MetricsRegistry | None"):
+        self.target = target
+        self.trace = trace
+        if tick_sizes is not None:
+            self.bounds = np.cumsum(tick_sizes)
+        else:
+            n_ticks = -(-trace.n_ops // tick_ops)  # ceil
+            self.bounds = np.minimum(
+                (np.arange(n_ticks, dtype=np.int64) + 1) * tick_ops,
+                trace.n_ops)
+        self.series: dict[str, list[float]] = {name: []
+                                               for name in series}
+        self.prefix = prefix
+        self.metrics = metrics
+        self.pending = np.empty(0, dtype=np.int64)
+        self.injected_total = 0
+        self.total_probes = 0
+        self._probes: list[np.ndarray] = []
+        self._found = 0
+        self._queries = 0
+        self._observed_retrains = 0
+
+    def run(self, close_tick: "Callable[..., dict[str, int]]",
+            feedback: "Callable[[int], np.ndarray | None]",
+            open_tick: "Callable[[int], None] | None" = None) -> None:
+        """Replay every tick.  ``close_tick(tick, read_keys, probes)``
+        returns the extra fields of the tick's trace event;
+        ``feedback(tick)`` returns crafted keys or ``None``;
+        ``open_tick(tick)`` runs before the tick's replay."""
+        trace, target, metrics = self.trace, self.target, self.metrics
+        series = self.series
+        start = 0
+        for tick, end in enumerate(self.bounds):
+            started = (time.perf_counter()
+                       if metrics is not None else 0.0)
+            if open_tick is not None:
+                open_tick(tick)
+            kinds = trace.kinds[start:end]
+            keys = trace.keys[start:end]
+            aux = trace.aux[start:end]
+            injected = int(self.pending.size)
+            if injected:
+                kinds = np.concatenate([
+                    np.full(injected, OP_POISON, dtype=kinds.dtype),
+                    kinds])
+                keys = np.concatenate([self.pending, keys])
+                aux = np.concatenate([
+                    np.zeros(injected, dtype=np.int64), aux])
+            self.injected_total += injected
+            self.pending = np.empty(0, dtype=np.int64)
+            found, probes = target.replay_ops(kinds, keys, aux)
+            reads = (kinds == OP_QUERY) | (kinds == OP_RANGE)
+            is_query = kinds[reads] == OP_QUERY
+            self._found += int(found[is_query].sum())
+            self._queries += int(is_query.sum())
+            self._probes.append(probes)
+            self.total_probes += int(probes.sum())
+            if probes.size:
+                p50, p95, p99 = np.percentile(probes, (50, 95, 99))
+                mean = float(probes.mean())
+            else:
+                p50 = p95 = p99 = mean = float("nan")
+            series["p50"].append(float(p50))
+            series["p95"].append(float(p95))
+            series["p99"].append(float(p99))
+            series["mean_probes"].append(mean)
+            series["error_bound"].append(target.error_bound())
+            series["retrains"].append(float(target.retrain_count))
+            series["n_keys"].append(float(target.n_keys))
+            if "injected" in series:
+                series["injected"].append(float(injected))
+            fields = close_tick(tick, keys[reads], probes)
+            if metrics is not None:
+                ops = int(end - start)
+                metrics.observe(f"{self.prefix}.tick",
+                                time.perf_counter() - started)
+                metrics.inc(f"{self.prefix}.ticks")
+                metrics.inc(f"{self.prefix}.ops", ops + injected)
+                metrics.trace(f"{self.prefix}.tick", tick=tick,
+                              ops=ops, injected=injected, **fields)
+            crafted = feedback(tick)
+            if crafted is not None:
+                self.pending = np.asarray(crafted, dtype=np.int64)
+            start = end
+
+    def observed(self, tick: int) -> dict[str, Any]:
+        """The observation fields both simulators' ports share.
+
+        Percentiles are backfilled via :func:`last_finite` (NaN only
+        before the first read of the replay); ``retrains_delta``
+        counts cycles since the previous observation.
+        """
+        series = self.series
+        retrains = int(series["retrains"][-1])
+        delta = retrains - self._observed_retrains
+        self._observed_retrains = retrains
+        return dict(
+            tick=tick, ticks_total=int(self.bounds.size),
+            p95=last_finite(series["p95"], float("nan")),
+            mean_probes=last_finite(series["mean_probes"],
+                                    float("nan")),
+            retrains=retrains, retrains_delta=delta,
+            n_keys=int(series["n_keys"][-1]),
+            injected_total=self.injected_total)
+
+    def finals(self) -> dict[str, Any]:
+        """The whole-replay report fields both simulators share."""
+        probes = (np.concatenate(self._probes) if self._probes
+                  else np.empty(0, dtype=np.int64))
+        if probes.size:
+            p50, p95, p99 = (float(v) for v in
+                             np.percentile(probes, (50, 95, 99)))
+            mean = float(probes.mean())
+        else:
+            # A read-free replay: fall back per the last-finite
+            # contract (0.0 — no tick ever measured a read).
+            p50, p95, p99, mean = (
+                last_finite(self.series[name])
+                for name in ("p50", "p95", "p99", "mean_probes"))
+        return dict(
+            series={name: np.asarray(values, dtype=np.float64)
+                    for name, values in self.series.items()},
+            p50=p50, p95=p95, p99=p99, mean_probes=mean,
+            found_fraction=(self._found / self._queries
+                            if self._queries else 0.0),
+            injected_poison=self.injected_total,
+            discarded_poison=int(self.pending.size))
+
+
 class ServingSimulator:
     """Drives one backend through one trace.
 
@@ -252,13 +388,6 @@ class ServingSimulator:
         adversary observes, before its next keys land); a returned
         :class:`TunerDecision` is applied through the backend's tuner
         hooks.
-    columnar:
-        Replay each tick through the backend's columnar
-        ``replay_ops`` fast path (the default) instead of the scalar
-        per-op feed.  The two paths are pinned bit-identical — same
-        series, finals, and retrain indices — by the parity suite;
-        the flag exists so that suite (and anyone debugging a
-        backend) can run the reference path.
     """
 
     def __init__(self, backend: ServingBackend, trace: Trace,
@@ -266,7 +395,6 @@ class ServingSimulator:
                  tick_sizes: "Sequence[int] | None" = None,
                  adversary: "AdversaryPort | None" = None,
                  tuner: "TunerPort | None" = None,
-                 columnar: bool = True,
                  metrics: "MetricsRegistry | None" = None):
         if tick_ops < 1:
             raise ValueError(f"tick_ops must be >= 1: {tick_ops}")
@@ -291,7 +419,6 @@ class ServingSimulator:
             self._tick_sizes = sizes
         self._adversary = adversary
         self._tuner = tuner
-        self._columnar = columnar
         # Opt-in instrumentation: an explicit registry wins, else the
         # process-installed one (``repro.observe.install``), else off
         # — in which case every hook below is one ``is None`` check.
@@ -321,170 +448,33 @@ class ServingSimulator:
         _, probes = self._backend.lookup_batch(self._probe_sample)
         return float(probes.mean())
 
-    def _tick_bounds(self) -> np.ndarray:
-        """End index (exclusive) of every tick, covering all ops."""
-        n = self._trace.n_ops
-        if self._tick_sizes is not None:
-            return np.cumsum(self._tick_sizes)
-        n_ticks = -(-n // self._tick_ops)  # ceil
-        return np.minimum(
-            (np.arange(n_ticks, dtype=np.int64) + 1) * self._tick_ops, n)
-
     def run(self) -> ServingReport:
         """Replay the whole trace; returns the metrics report."""
         trace, backend = self._trace, self._backend
-        kinds, keys, aux = trace.kinds, trace.keys, trace.aux
-        n = trace.n_ops
         started = time.perf_counter()
         baseline = self._sample_cost()
-        bounds = self._tick_bounds()
+        driver = TickDriver(
+            backend, trace, self._tick_ops, self._tick_sizes,
+            _SERIES + (_LOOP_SERIES if self._closed_loop else ()),
+            "serving", self._metrics)
+        series = driver.series
 
-        names = _SERIES + (_LOOP_SERIES if self._closed_loop else ())
-        series: dict[str, list[float]] = {name: [] for name in names}
-        all_probes: list[np.ndarray] = []
-        tick_probes: list[np.ndarray] = []
-        found_total = 0
-        query_total = 0
-        injected_total = 0
-        last_retrains = 0
-
-        def close_tick(injected: int) -> None:
-            merged = (np.concatenate(tick_probes) if tick_probes
-                      else np.empty(0, dtype=np.int64))
-            if merged.size:
-                p50, p95, p99 = np.percentile(merged, (50, 95, 99))
-                mean = float(merged.mean())
-            else:
-                p50 = p95 = p99 = mean = float("nan")
-            series["p50"].append(float(p50))
-            series["p95"].append(float(p95))
-            series["p99"].append(float(p99))
-            series["mean_probes"].append(mean)
-            series["error_bound"].append(backend.error_bound())
-            series["retrains"].append(float(backend.retrain_count))
+        def close_tick(tick: int, read_keys: np.ndarray,
+                       probes: np.ndarray) -> dict[str, int]:
             series["amplification"].append(
                 self._sample_cost() / baseline)
-            series["n_keys"].append(float(backend.n_keys))
-            if self._closed_loop:
-                series["injected"].append(float(injected))
-            all_probes.extend(tick_probes)
-            tick_probes.clear()
+            return {"retrains": int(series["retrains"][-1]),
+                    "n_keys": int(series["n_keys"][-1])}
 
-        def observe(tick: int) -> TickObservation:
-            """The feedback ports' view of the tick just closed."""
-            nonlocal last_retrains
-            retrains = int(series["retrains"][-1])
-            obs = TickObservation(
-                tick=tick,
-                ticks_total=int(bounds.size),
-                p50=last_finite(series["p50"], float("nan")),
-                p95=last_finite(series["p95"], float("nan")),
-                p99=last_finite(series["p99"], float("nan")),
-                mean_probes=last_finite(series["mean_probes"],
-                                        float("nan")),
-                error_bound=series["error_bound"][-1],
-                retrains=retrains,
-                retrains_delta=retrains - last_retrains,
-                amplification=series["amplification"][-1],
-                n_keys=int(series["n_keys"][-1]),
-                injected_total=injected_total)
-            last_retrains = retrains
-            return obs
-
-        # Columnar (default): each tick — adversary injections
-        # prepended as synthetic poison ops — is one ``replay_ops``
-        # call; the backend applies mutations as classified bulk
-        # set operations and batches reads per rebuild-free segment,
-        # firing every rebuild at the same op index the scalar feed
-        # would.  Scalar (reference): runs of same-kind ops, never
-        # across a tick boundary; only *stateless* reads are batched
-        # (a query run is one lookup_batch call) and state mutations
-        # apply strictly one op at a time.  Both ways the replay is
-        # invariant under batching and tick size — a backend's
-        # batch-level rebuild check never decides retrain timing.
-        start = 0
-        pending_inject = np.empty(0, dtype=np.int64)
-        metrics = self._metrics
-        for tick_index, tick_end in enumerate(bounds):
-            tick_started = (time.perf_counter()
-                            if metrics is not None else 0.0)
-            tick_start_op = start
-            injected_this_tick = int(pending_inject.size)
-            if self._columnar:
-                t_kinds = kinds[start:tick_end]
-                t_keys = keys[start:tick_end]
-                t_aux = aux[start:tick_end]
-                if injected_this_tick:
-                    t_kinds = np.concatenate([
-                        np.full(injected_this_tick, OP_POISON,
-                                dtype=kinds.dtype), t_kinds])
-                    t_keys = np.concatenate([pending_inject, t_keys])
-                    t_aux = np.concatenate([
-                        np.zeros(injected_this_tick, dtype=np.int64),
-                        t_aux])
-                injected_total += injected_this_tick
-                pending_inject = np.empty(0, dtype=np.int64)
-                found, probes = backend.replay_ops(t_kinds, t_keys,
-                                                   t_aux)
-                if probes.size:
-                    tick_probes.append(probes)
-                is_query = t_kinds[(t_kinds == OP_QUERY)
-                                   | (t_kinds == OP_RANGE)] == OP_QUERY
-                found_total += int(found[is_query].sum())
-                query_total += int(is_query.sum())
-                start = tick_end
-            else:
-                for key in pending_inject:
-                    backend.insert_batch(key[np.newaxis])
-                injected_total += injected_this_tick
-                pending_inject = np.empty(0, dtype=np.int64)
-                while start < tick_end:
-                    kind = kinds[start]
-                    stop = start + 1
-                    while stop < tick_end and kinds[stop] == kind:
-                        stop += 1
-                    run_keys = keys[start:stop]
-                    if kind == OP_QUERY:
-                        found, probes = backend.lookup_batch(run_keys)
-                        tick_probes.append(probes)
-                        found_total += int(found.sum())
-                        query_total += int(found.size)
-                    elif kind == OP_RANGE:
-                        probes = np.asarray(
-                            [backend.range_scan(int(lo), int(hi))
-                             for lo, hi in zip(run_keys,
-                                               aux[start:stop])],
-                            dtype=np.int64)
-                        tick_probes.append(probes)
-                    elif kind in (OP_INSERT, OP_POISON):
-                        for key in run_keys:
-                            backend.insert_batch(key[np.newaxis])
-                    elif kind == OP_DELETE:
-                        for key in run_keys:
-                            backend.delete_batch(key[np.newaxis])
-                    elif kind == OP_MODIFY:
-                        for key, new in zip(run_keys, aux[start:stop]):
-                            backend.delete_batch(key[np.newaxis])
-                            backend.insert_batch(new[np.newaxis])
-                    else:  # pragma: no cover
-                        raise ValueError(f"unknown op kind: {kind}")
-                    start = stop
-            close_tick(injected_this_tick)
-            if metrics is not None:
-                metrics.observe("serving.tick",
-                                time.perf_counter() - tick_started)
-                metrics.inc("serving.ticks")
-                metrics.inc("serving.ops",
-                            int(tick_end - tick_start_op)
-                            + injected_this_tick)
-                metrics.trace(
-                    "serving.tick", tick=tick_index,
-                    ops=int(tick_end - tick_start_op),
-                    injected=injected_this_tick,
-                    retrains=int(series["retrains"][-1]),
-                    n_keys=int(series["n_keys"][-1]))
+        def feedback(tick: int) -> "np.ndarray | None":
+            crafted = None
             if self._adversary is not None or self._tuner is not None:
-                obs = observe(tick_index)
+                obs = TickObservation(
+                    **driver.observed(tick),
+                    p50=last_finite(series["p50"], float("nan")),
+                    p99=last_finite(series["p99"], float("nan")),
+                    error_bound=series["error_bound"][-1],
+                    amplification=series["amplification"][-1])
                 if self._tuner is not None:
                     decision = self._tuner(obs)
                     if decision is not None:
@@ -498,43 +488,24 @@ class ServingSimulator:
                             decision.rebuild_threshold)
                 if self._adversary is not None:
                     crafted = self._adversary(obs)
-                    if crafted is not None:
-                        pending_inject = np.asarray(crafted,
-                                                    dtype=np.int64)
             if self._closed_loop:
                 keep = backend.trim_keep_fraction
                 series["keep_fraction"].append(
                     float("nan") if keep is None else float(keep))
                 series["rebuild_threshold"].append(
                     float(backend.rebuild_threshold))
+            return crafted
 
-        probes_flat = (np.concatenate(all_probes) if all_probes
-                       else np.empty(0, dtype=np.int64))
-        if probes_flat.size:
-            p50, p95, p99 = (float(v) for v in
-                             np.percentile(probes_flat, (50, 95, 99)))
-            mean = float(probes_flat.mean())
-        else:
-            # A read-free replay: fall back per the last-finite
-            # contract (0.0 — no tick ever measured a read).
-            p50 = last_finite(series["p50"])
-            p95 = last_finite(series["p95"])
-            p99 = last_finite(series["p99"])
-            mean = last_finite(series["mean_probes"])
+        driver.run(close_tick, feedback)
         error_bounds = np.asarray(series["error_bound"])
         return ServingReport(
             backend=backend.name,
             spec_digest=trace.spec.digest,
-            n_ops=n,
+            n_ops=trace.n_ops,
             tick_ops=(0 if self._tick_sizes is not None
                       else self._tick_ops),
-            series={name: np.asarray(values, dtype=np.float64)
-                    for name, values in series.items()},
-            p50=p50, p95=p95, p99=p99,
-            mean_probes=mean,
-            total_probes=int(probes_flat.sum()),
-            found_fraction=(found_total / query_total if query_total
-                            else 0.0),
+            **driver.finals(),
+            total_probes=driver.total_probes,
             retrains=int(backend.retrain_count),
             final_amplification=last_finite(series["amplification"],
                                             1.0),
@@ -542,7 +513,5 @@ class ServingSimulator:
                              if error_bounds.size else 0.0),
             final_n_keys=int(backend.n_keys),
             ops_by_kind=trace.counts(),
-            injected_poison=injected_total,
-            discarded_poison=int(pending_inject.size),
             # repro: allow[REP003] -- wall_seconds is an advisory stats field, never compared or digested
             wall_seconds=time.perf_counter() - started)
