@@ -573,7 +573,17 @@ class WorkerClient:
         self._process.start()
         child.close()
         self._conn = parent
-        code, _, body = self._recv(book.config.wall_timeout_s)
+        try:
+            code, _, body = self._recv(book.config.wall_timeout_s)
+        except (EOFError, OSError, TimeoutError) as exc:
+            # Died or wedged before its handshake: reap it and say so.
+            parent.close()
+            self._process.kill()
+            self._process.join()
+            raise ShardWorkerError(self._shard, (
+                f"replica {self._replica} sent no handshake "
+                f"({type(exc).__name__}); exit code "
+                f"{self._process.exitcode}")) from exc
         if code != REPLY_OK:
             self.close()
             raise ShardWorkerError(self._shard, body.decode())
