@@ -225,8 +225,8 @@ class TickDriver:
                  tick_sizes: "np.ndarray | None",
                  series: Sequence[str], prefix: str,
                  metrics: "MetricsRegistry | None"):
-        self.target = target
-        self.trace = trace
+        self._target = target
+        self._trace = trace
         if tick_sizes is not None:
             self.bounds = np.cumsum(tick_sizes)
         else:
@@ -236,10 +236,10 @@ class TickDriver:
                 trace.n_ops)
         self.series: dict[str, list[float]] = {name: []
                                                for name in series}
-        self.prefix = prefix
-        self.metrics = metrics
-        self.pending = np.empty(0, dtype=np.int64)
-        self.injected_total = 0
+        self._prefix = prefix
+        self._metrics = metrics
+        self._pending = np.empty(0, dtype=np.int64)
+        self._injected_total = 0
         self.total_probes = 0
         self._probes: list[np.ndarray] = []
         self._found = 0
@@ -253,7 +253,7 @@ class TickDriver:
         returns the extra fields of the tick's trace event;
         ``feedback(tick)`` returns crafted keys or ``None``;
         ``open_tick(tick)`` runs before the tick's replay."""
-        trace, target, metrics = self.trace, self.target, self.metrics
+        trace, target, metrics = self._trace, self._target, self._metrics
         series = self.series
         start = 0
         for tick, end in enumerate(self.bounds):
@@ -264,16 +264,16 @@ class TickDriver:
             kinds = trace.kinds[start:end]
             keys = trace.keys[start:end]
             aux = trace.aux[start:end]
-            injected = int(self.pending.size)
+            injected = int(self._pending.size)
             if injected:
                 kinds = np.concatenate([
                     np.full(injected, OP_POISON, dtype=kinds.dtype),
                     kinds])
-                keys = np.concatenate([self.pending, keys])
+                keys = np.concatenate([self._pending, keys])
                 aux = np.concatenate([
                     np.zeros(injected, dtype=np.int64), aux])
-            self.injected_total += injected
-            self.pending = np.empty(0, dtype=np.int64)
+            self._injected_total += injected
+            self._pending = np.empty(0, dtype=np.int64)
             found, probes = target.replay_ops(kinds, keys, aux)
             reads = (kinds == OP_QUERY) | (kinds == OP_RANGE)
             is_query = kinds[reads] == OP_QUERY
@@ -298,15 +298,15 @@ class TickDriver:
             fields = close_tick(tick, keys[reads], probes)
             if metrics is not None:
                 ops = int(end - start)
-                metrics.observe(f"{self.prefix}.tick",
+                metrics.observe(f"{self._prefix}.tick",
                                 time.perf_counter() - started)
-                metrics.inc(f"{self.prefix}.ticks")
-                metrics.inc(f"{self.prefix}.ops", ops + injected)
-                metrics.trace(f"{self.prefix}.tick", tick=tick,
+                metrics.inc(f"{self._prefix}.ticks")
+                metrics.inc(f"{self._prefix}.ops", ops + injected)
+                metrics.trace(f"{self._prefix}.tick", tick=tick,
                               ops=ops, injected=injected, **fields)
             crafted = feedback(tick)
             if crafted is not None:
-                self.pending = np.asarray(crafted, dtype=np.int64)
+                self._pending = np.asarray(crafted, dtype=np.int64)
             start = end
 
     def observed(self, tick: int) -> dict[str, Any]:
@@ -327,7 +327,7 @@ class TickDriver:
                                     float("nan")),
             retrains=retrains, retrains_delta=delta,
             n_keys=int(series["n_keys"][-1]),
-            injected_total=self.injected_total)
+            injected_total=self._injected_total)
 
     def finals(self) -> dict[str, Any]:
         """The whole-replay report fields both simulators share."""
@@ -349,8 +349,8 @@ class TickDriver:
             p50=p50, p95=p95, p99=p99, mean_probes=mean,
             found_fraction=(self._found / self._queries
                             if self._queries else 0.0),
-            injected_poison=self.injected_total,
-            discarded_poison=int(self.pending.size))
+            injected_poison=self._injected_total,
+            discarded_poison=int(self._pending.size))
 
 
 class ServingSimulator:
