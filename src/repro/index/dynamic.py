@@ -45,6 +45,10 @@ from .rmi import LookupResult, RecursiveModelIndex
 
 __all__ = ["DynamicLearnedIndex"]
 
+#: The empty delta buffer (read-only, like every buffer state).
+_NO_KEYS = np.empty(0, dtype=np.int64)
+_NO_KEYS.setflags(write=False)
+
 
 class DynamicLearnedIndex:
     """RMI + sorted delta buffer + retrain-on-threshold."""
@@ -98,7 +102,7 @@ class DynamicLearnedIndex:
         self._sanitizer = sanitizer
         self._quarantine_rejects = bool(quarantine_rejects)
         self._base = np.sort(keys)
-        self._delta: list[int] = []
+        self._delta = _NO_KEYS
         self._quarantine = np.empty(0, dtype=np.int64)
         if sanitize_initial and sanitizer is not None:
             kept = np.sort(np.asarray(sanitizer(self._base),
@@ -120,18 +124,18 @@ class DynamicLearnedIndex:
     @property
     def n_keys(self) -> int:
         """Total keys currently stored (base + delta + quarantine)."""
-        return (int(self._base.size) + len(self._delta)
+        return (int(self._base.size) + int(self._delta.size)
                 + int(self._quarantine.size))
 
     @property
     def delta_size(self) -> int:
         """Keys waiting in the delta buffer."""
-        return len(self._delta)
+        return int(self._delta.size)
 
     @property
     def delta_keys(self) -> np.ndarray:
-        """The buffered keys (sorted copy)."""
-        return np.asarray(self._delta, dtype=np.int64)
+        """The buffered keys (sorted, read-only array)."""
+        return self._delta
 
     @property
     def quarantine_size(self) -> int:
@@ -200,9 +204,8 @@ class DynamicLearnedIndex:
         key = int(key)
         if self.contains(key):
             raise ValueError(f"duplicate key: {key}")
-        self._delta.append(key)
-        self._delta.sort()
-        if len(self._delta) >= self._threshold * self._base.size:
+        self._absorb_fresh(np.asarray([key], dtype=np.int64))
+        if self._delta.size >= self._threshold * self._base.size:
             self._merge_and_retrain()
             return True
         return False
@@ -216,17 +219,20 @@ class DynamicLearnedIndex:
         return retrains
 
     def _absorb_fresh(self, keys: np.ndarray) -> None:
-        """Bulk-append keys into the delta buffer (columnar replay).
+        """Merge keys into the sorted delta buffer.
 
-        The caller — a backend's segment replay — has already
-        classified every key as absent from base, delta, and
-        quarantine *and* split its batch at the retrain crossing, so
-        no membership or threshold check runs here; one sort leaves
-        the buffer identical to per-key :meth:`insert` appends.
+        The caller — :meth:`insert`, or a backend's segment replay —
+        has already checked every key as absent from base, delta, and
+        quarantine, and the replay has split its batch at the retrain
+        crossing, so no membership or threshold check runs here; one
+        merge leaves the buffer identical to per-key :meth:`insert`
+        appends.
         """
         if len(keys):
-            self._delta.extend(int(key) for key in keys)
-            self._delta.sort()
+            keys = np.sort(keys)
+            self._delta = np.insert(
+                self._delta, np.searchsorted(self._delta, keys), keys)
+            self._delta.setflags(write=False)
 
     def flush(self) -> None:
         """Force a merge + retrain regardless of the buffer level.
@@ -235,14 +241,13 @@ class DynamicLearnedIndex:
         would eventually trip the threshold; flushing jumps straight
         to the next training cycle.  No-op on an empty buffer.
         """
-        if self._delta:
+        if self._delta.size:
             self._merge_and_retrain()
 
     def _merge_and_retrain(self) -> None:
         merged = np.sort(np.concatenate(
-            [self._base, np.asarray(self._delta, dtype=np.int64),
-             self._quarantine]))
-        self._delta = []
+            [self._base, self._delta, self._quarantine]))
+        self._delta = _NO_KEYS
         if self._sanitizer is not None:
             kept = np.sort(np.asarray(self._sanitizer(merged),
                                       dtype=np.int64))
@@ -266,16 +271,11 @@ class DynamicLearnedIndex:
     # ------------------------------------------------------------------
     def contains(self, key: int) -> bool:
         """Membership over base, delta, and quarantine."""
-        i = int(np.searchsorted(self._base, key))
-        if i < self._base.size and int(self._base[i]) == key:
-            return True
-        import bisect
-        j = bisect.bisect_left(self._delta, key)
-        if j < len(self._delta) and self._delta[j] == key:
-            return True
-        q = int(np.searchsorted(self._quarantine, key))
-        return (q < self._quarantine.size
-                and int(self._quarantine[q]) == key)
+        for side in (self._base, self._delta, self._quarantine):
+            i = int(np.searchsorted(side, key))
+            if i < side.size and int(side[i]) == key:
+                return True
+        return False
 
     def lookup(self, key: int) -> LookupResult:
         """Find a key: RMI over the base, then binary search on the
@@ -293,9 +293,9 @@ class DynamicLearnedIndex:
         probes = result.probes
         for offset, side in (
                 (int(self._base.size), self._delta),
-                (int(self._base.size) + len(self._delta),
+                (int(self._base.size) + int(self._delta.size),
                  self._quarantine)):
-            lo, hi = 0, len(side) - 1
+            lo, hi = 0, side.size - 1
             while lo <= hi:
                 mid = (lo + hi) // 2
                 probes += 1
@@ -326,13 +326,13 @@ class DynamicLearnedIndex:
         found = base.found.copy()
         positions = base.positions.copy()
         probes = base.probes.copy()
-        side_table_search(np.asarray(self._delta, dtype=np.int64),
-                          keys, found, probes, positions=positions,
+        side_table_search(self._delta, keys, found, probes,
+                          positions=positions,
                           offset=int(self._base.size))
         side_table_search(self._quarantine, keys, found, probes,
                           positions=positions,
                           offset=int(self._base.size)
-                          + len(self._delta))
+                          + int(self._delta.size))
         return BatchLookupResult(found=found, positions=positions,
                                  probes=probes,
                                  model_index=base.model_index)

@@ -29,8 +29,12 @@ op slice (reads and mutations interleaved) with vectorized
 classification and batched window searches while firing every rebuild
 at the same op index the one-key-at-a-time feed would — the columnar
 fast path, pinned bit-identical to the op-by-op oracle of
-``tests/replay_oracle.py`` (hazard slices and the B-Tree replay on
-``_replay_scalar``, that walk over sub-ops).
+``tests/replay_oracle.py``.  ``linear``, ``rmi`` and ``dynamic`` share
+one segment loop, ``ServingBackend._replay_columnar``, and differ only
+in its hooks (``dynamic``'s carry its two crossings: the index's
+retrain at a fresh insert, the tombstone fold at a delete).
+``binary`` walks read chunks over its one array; hazard slices and the
+B-Tree replay on ``_replay_scalar``, a walk over sub-ops.
 Probe counts always reflect the *actual* searches performed —
 model + delta + quarantine — so a swollen side table or a poisoned
 retrain shows up in the latency percentiles honestly.
@@ -288,17 +292,7 @@ class ServingBackend:
         found, probes = self._model_lookup(keys)
         found = np.asarray(found, dtype=bool).copy()
         probes = np.asarray(probes, dtype=np.int64).copy()
-        if self._tombs.size:
-            # Tombstoned keys still sit in the model; membership says
-            # no.  The searchsorted check stands in for the O(1)
-            # bitmap a real system would consult, costing one probe.
-            idx = np.searchsorted(self._tombs, keys)
-            idx = np.minimum(idx, self._tombs.size - 1)
-            dead = found & (self._tombs[idx] == keys)
-            probes[found] += 1
-            found[dead] = False
-        side_table_search(self._delta, keys, found, probes)
-        side_table_search(self._quarantine, keys, found, probes)
+        self._adjust_reads(keys, found, probes)
         return found, probes
 
     def range_scan(self, lo: int, hi: int) -> int:
@@ -373,11 +367,6 @@ class ServingBackend:
         self._retrains += 1
 
     # -- columnar replay ----------------------------------------------
-    #: Whether the vectorized segment replay is valid for this
-    #: backend (the B-Tree's native inserts are order-dependent
-    #: structure edits, so it walks sub-ops instead).
-    _columnar_replay = True
-
     def replay_ops(self, kinds: np.ndarray, keys: np.ndarray,
                    aux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Apply one op slice with op-exact rebuild timing.
@@ -404,7 +393,7 @@ class ServingBackend:
             metrics.inc("columnar.ops", int(kinds.size))
         found = np.zeros(ops.read_pos.size, dtype=bool)
         probes = np.zeros(ops.read_pos.size, dtype=np.int64)
-        if not self._columnar_replay or ops.hazard:
+        if ops.hazard:
             self._replay_scalar(ops, found, probes)
         else:
             self._replay_columnar(ops, found, probes)
@@ -432,15 +421,13 @@ class ServingBackend:
             found_out[r:] = f
             probes_out[r:] = p
 
-    #: Pending-update delta per effect code, indexed by EFF_*.
-    _DPEND = np.array([0, -1, 1, -1, 0, 1], dtype=np.int64)
-
     def _replay_columnar(self, ops: TickOps, found_out: np.ndarray,
                          probes_out: np.ndarray) -> None:
         """Segment loop: classify all remaining sub-ops against the
-        current state, find the first rebuild-threshold crossing via
-        the pending-update cumsum, serve and apply everything up to it
-        in bulk, rebuild exactly there, re-classify, repeat."""
+        current state, find the first crossing, serve and apply
+        everything up to it in bulk, fire exactly there, re-classify,
+        repeat.  Backends change what a sub-op does, where a segment
+        ends and what fires through the hooks below, not the loop."""
         metrics = self._metrics
         j = 0
         r = 0
@@ -451,12 +438,10 @@ class ServingBackend:
             started = (time.perf_counter() if metrics is not None
                        else 0.0)
             eff = self._classify_mutations(sub_ins, sub_key)
+            crossing = self._crossings(eff, sub_ins)
             if metrics is not None:
                 metrics.observe("columnar.classify",
                                 time.perf_counter() - started)
-            pend = self.pending_updates + np.cumsum(self._DPEND[eff])
-            bound = self._threshold * max(self._snapshot.size, 1)
-            crossing = pend >= bound
             fire = bool(crossing.any())
             if fire:
                 seg = int(np.argmax(crossing)) + 1
@@ -472,7 +457,7 @@ class ServingBackend:
             r = r_end
             if not fire:
                 break
-            self.rebuild()
+            self._fire(bool(sub_ins[seg - 1]))
 
     def _serve_segment(self, ops: TickOps, r: int, r_end: int,
                        eff: np.ndarray, sub_key: np.ndarray,
@@ -542,6 +527,21 @@ class ServingBackend:
         eff[dels & ~in_d & ~in_q & in_s & ~in_t] = EFF_TOMB
         return eff
 
+    #: Pending-update delta per effect code, indexed by EFF_*.
+    _DPEND = np.array([0, -1, 1, -1, 0, 1], dtype=np.int64)
+
+    def _crossings(self, eff: np.ndarray,
+                   sub_ins: np.ndarray) -> np.ndarray:
+        """Mask of the sub-ops whose single-key call would rebuild:
+        every mutation checks, so the first sub-op at which pending
+        updates (a cumsum of the effects) reach the threshold."""
+        pend = self.pending_updates + np.cumsum(self._DPEND[eff])
+        return pend >= self._threshold * max(self._snapshot.size, 1)
+
+    def _fire(self, insert: bool) -> None:
+        """Run what a crossing sub-op (an insert or a delete) fires."""
+        self.rebuild()
+
     def _apply_effects(self, eff: np.ndarray,
                        sub_key: np.ndarray) -> None:
         """Bulk-apply classified sub-ops to the side tables.
@@ -567,15 +567,15 @@ class ServingBackend:
 
     def _adjust_reads(self, keys: np.ndarray, found: np.ndarray,
                       probes: np.ndarray) -> None:
-        """The post-model steps of :meth:`lookup_batch`, in place on
-        one chunk's slices (same order: tombstones, delta,
-        quarantine)."""
+        """A read's steps after the model, in place on ``found`` and
+        ``probes`` (a whole batch, or one chunk's slices): tombstones,
+        delta, quarantine."""
         if self._tombs.size:
-            idx = np.minimum(np.searchsorted(self._tombs, keys),
-                             self._tombs.size - 1)
-            dead = found & (self._tombs[idx] == keys)
+            # Tombstoned keys still sit in the model; membership says
+            # no.  The searchsorted check stands in for the O(1)
+            # bitmap a real system would consult, costing one probe.
             probes[found] += 1
-            found[dead] = False
+            found &= ~sorted_member(self._tombs, keys)
         side_table_search(self._delta, keys, found, probes)
         side_table_search(self._quarantine, keys, found, probes)
 
@@ -664,10 +664,6 @@ class BTreeBackend(ServingBackend):
 
     name = "btree"
     supports_trim = False
-    #: Native tree inserts are order-dependent structure edits; the
-    #: replay surface walks sub-ops (with gap-batched reads) instead
-    #: of classifying them against a snapshot.
-    _columnar_replay = False
 
     def __init__(self, keys: np.ndarray, rebuild_threshold: float = 0.1,
                  trim_keep_fraction: float | None = None,
@@ -691,6 +687,13 @@ class BTreeBackend(ServingBackend):
         # tombstone/compaction bookkeeping keeps working.
         self._snapshot = np.asarray(list(self._tree.items()),
                                     dtype=np.int64)
+
+    def _replay_columnar(self, ops: TickOps, found_out: np.ndarray,
+                         probes_out: np.ndarray) -> None:
+        """Native tree inserts are order-dependent structure edits,
+        so this backend walks sub-ops (with gap-batched reads) instead
+        of classifying them against a snapshot."""
+        self._replay_scalar(ops, found_out, probes_out)
 
     def _model_lookup(self, keys: np.ndarray):
         found, comparisons, _ = self._tree.search_batch(keys)
@@ -756,7 +759,16 @@ class DynamicBackend(ServingBackend):
     Inserts go through the index's own public API — its
     retrain-on-threshold cycle (the update-channel attack surface of
     ablation A9) replaces the generic delta bookkeeping, and its
-    sanitizer hook carries the TRIM defense.
+    sanitizer hook carries the TRIM defense.  The model is the RMI
+    alone: the index owns delta buffer and quarantine, this backend
+    the tombstones.
+
+    ``replay_ops`` runs the base class's segment loop; this backend's
+    hooks encode three rules.  Deletes only tombstone.  Two crossings
+    end a segment: a fresh insert reaching ``delta >= θ·base`` (the
+    index's retrain) and any delete reaching ``tombs >= θ·max(n_keys,
+    1)`` (the tombstone fold).  Reads are adjusted delta, quarantine,
+    then tombstones.
     """
 
     name = "dynamic"
@@ -785,6 +797,10 @@ class DynamicBackend(ServingBackend):
     @property
     def retrain_count(self) -> int:
         return self._retrains + self._index.retrain_count
+
+    @property
+    def pending_updates(self) -> int:
+        return self._index.delta_size + int(self._tombs.size)
 
     @property
     def quarantine_size(self) -> int:
@@ -854,185 +870,86 @@ class DynamicBackend(ServingBackend):
         self._tombs = np.union1d(self._tombs, present)
         if (self._tombs.size
                 >= self._threshold * max(self._index.n_keys, 1)):
-            live = self.live_keys()
-            self._tombs = np.empty(0, dtype=np.int64)
-            # The replacement index restarts its internal counter;
-            # fold the finished one's cycles in before dropping it.
-            self._retrains += self._index.retrain_count + 1
-            self._build(live)
+            self._fold()
+
+    def _fold(self) -> None:
+        """Compact the tombstones into a fresh index over the live
+        keys."""
+        live = self.live_keys()
+        self._tombs = np.empty(0, dtype=np.int64)
+        # The replacement index restarts its internal counter; fold
+        # the finished one's cycles in before dropping it.
+        self._retrains += self._index.retrain_count + 1
+        self._build(live)
 
     def _model_lookup(self, keys: np.ndarray):
-        probe = self._index.lookup_batch(keys)
+        probe = self._index.rmi.lookup_batch(keys)
         return probe.found, probe.probes
 
     def _model_error_bound(self) -> float:
         return float(self._index.rmi.max_search_window())
 
-    def lookup_batch(self, keys: np.ndarray):
-        # The dynamic index owns its own side tables; only the
-        # tombstone check applies on top.
-        keys = np.asarray(keys, dtype=np.int64)
-        found, probes = self._model_lookup(keys)
-        found = found.copy()
-        probes = probes.copy()
-        if self._tombs.size:
-            idx = np.searchsorted(self._tombs, keys)
-            idx = np.minimum(idx, self._tombs.size - 1)
-            dead = found & (self._tombs[idx] == keys)
-            probes[found] += 1
-            found[dead] = False
-        return found, probes
+    # -- segment-loop hooks -------------------------------------------
+    def _classify_mutations(self, sub_ins: np.ndarray,
+                            sub_key: np.ndarray) -> np.ndarray:
+        """Only tombstones move: a first-occurrence delete of any
+        contained key tombstones it, an insert of a tombstoned key
+        revives it, and an insert of an absent key is fresh."""
+        index = self._index
+        first = first_occurrence(sub_key)
+        in_t = sorted_member(self._tombs, sub_key)
+        contains = (sorted_member(index.rmi.store.keys, sub_key)
+                    | sorted_member(index.delta_keys, sub_key)
+                    | sorted_member(index.quarantine_keys, sub_key))
+        eff = np.full(sub_key.size, EFF_NOOP, dtype=np.int8)
+        ins = sub_ins & first
+        eff[ins & in_t] = EFF_REVIVE
+        eff[ins & ~in_t & ~contains] = EFF_FRESH
+        eff[~sub_ins & first & contains & ~in_t] = EFF_TOMB
+        return eff
 
-    def _replay_columnar(self, ops: TickOps, found_out: np.ndarray,
-                         probes_out: np.ndarray) -> None:
-        """Segment loop against the index's own bookkeeping.
+    def _crossings(self, eff: np.ndarray,
+                   sub_ins: np.ndarray) -> np.ndarray:
+        """The index's retrain at a fresh insert, the tombstone fold at
+        any delete: both levels are cumsums of the effects, and the
+        fold's ``n_keys`` grows as fresh inserts land."""
+        index = self._index
+        fresh = eff == EFF_FRESH
+        n_fresh = np.cumsum(fresh)
+        n_tombs = self._tombs.size + np.cumsum(
+            (eff == EFF_TOMB).astype(np.int64) - (eff == EFF_REVIVE))
+        retrain = fresh & (index.delta_size + n_fresh
+                           >= self._threshold * index.rmi.store.keys.size)
+        fold = ~sub_ins & (n_tombs >= self._threshold
+                           * np.maximum(index.n_keys + n_fresh, 1))
+        return retrain | fold
 
-        Two distinct crossings bound a segment here: a fresh insert
-        tripping the index's retrain (``delta >= θ·base``, checked
-        inside :meth:`DynamicLearnedIndex.insert`) and a delete
-        tripping this backend's tombstone fold (``tombs >= θ·max(
-        n_keys, 1)``, checked on *every* delete).  Both levels are
-        cumsums of the classified effects, with the fold's ``n_keys``
-        varying as fresh inserts land, so the first crossing of
-        either kind is found in one vector pass."""
-        j = 0
-        r = 0
-        while True:
-            index = self._index
-            base = index.rmi.store.keys
-            delta = index.delta_keys
-            quar = index.quarantine_keys
-            tombs = self._tombs
-            sub_key = ops.sub_key[j:]
-            sub_ins = ops.sub_ins[j:]
-            sub_pos = ops.sub_pos[j:]
-            metrics = self._metrics
-            started = (time.perf_counter() if metrics is not None
-                       else 0.0)
-            first = first_occurrence(sub_key)
-            in_t = sorted_member(tombs, sub_key)
-            contains = (sorted_member(base, sub_key)
-                        | sorted_member(delta, sub_key)
-                        | sorted_member(quar, sub_key))
-            eff = np.full(sub_key.size, EFF_NOOP, dtype=np.int8)
-            ins = sub_ins & first
-            eff[ins & in_t] = EFF_REVIVE
-            eff[ins & ~in_t & ~contains] = EFF_FRESH
-            dels = ~sub_ins & first
-            eff[dels & contains & ~in_t] = EFF_TOMB
-            cum_fresh = np.cumsum(eff == EFF_FRESH)
-            # Net tombstone level: folds count tombstones added by
-            # deletes minus those revived by re-inserts.
-            cum_tomb = np.cumsum((eff == EFF_TOMB).astype(np.int64)
-                                 - (eff == EFF_REVIVE))
-            crossing = np.zeros(sub_key.size, dtype=bool)
-            fresh = eff == EFF_FRESH
-            crossing[fresh] = (delta.size + cum_fresh[fresh]
-                               >= self._threshold * base.size)
-            n_keys_i = base.size + delta.size + cum_fresh + quar.size
-            crossing[~sub_ins] = (
-                tombs.size + cum_tomb[~sub_ins]
-                >= self._threshold * np.maximum(n_keys_i[~sub_ins], 1))
-            if metrics is not None:
-                metrics.observe("columnar.classify",
-                                time.perf_counter() - started)
-            fire = bool(crossing.any())
-            if fire:
-                seg = int(np.argmax(crossing)) + 1
-                r_end = int(np.searchsorted(ops.read_pos,
-                                            sub_pos[seg - 1]))
-            else:
-                seg = int(sub_key.size)
-                r_end = int(ops.read_pos.size)
-            self._serve_dynamic_segment(
-                ops, r, r_end, eff[:seg], sub_key[:seg],
-                sub_pos[:seg], delta, quar, found_out, probes_out)
-            j += seg
-            r = r_end
-            if not fire:
-                break
-            if ops.sub_ins[j - 1]:
-                # The firing sub-op is the fresh insert whose buffer
-                # append crossed the index's retrain threshold: run
-                # exactly that merge.
-                index.flush()
-            else:
-                # The firing sub-op is a delete tripping the fold in
-                # delete_batch; replicate its compaction verbatim.
-                live = self.live_keys()
-                self._tombs = np.empty(0, dtype=np.int64)
-                self._retrains += index.retrain_count + 1
-                self._build(live)
+    def _fire(self, insert: bool) -> None:
+        if insert:
+            # The fresh insert whose buffer append crossed the index's
+            # retrain threshold: run exactly that merge.
+            self._index.flush()
+        else:
+            self._fold()
 
-    def _serve_dynamic_segment(self, ops: TickOps, r: int, r_end: int,
-                               eff: np.ndarray, sub_key: np.ndarray,
-                               sub_pos: np.ndarray, delta: np.ndarray,
-                               quar: np.ndarray, found_out: np.ndarray,
-                               probes_out: np.ndarray) -> None:
-        """One retrain/fold-free segment: batch the RMI probe over
-        all its reads, walk read chunks with growing local delta and
-        tombstone arrays, then commit them (the index absorbs the
-        fresh keys, already screened for absence and threshold)."""
-        seg_fresh = sub_key[eff == EFF_FRESH]
-        metrics = self._metrics
-        if r_end > r:
-            keys = ops.read_keys[r:r_end]
-            started = (time.perf_counter() if metrics is not None
-                       else 0.0)
-            probe = self._index.rmi.lookup_batch(keys)
-            if metrics is not None:
-                metrics.observe("columnar.model_lookup",
-                                time.perf_counter() - started)
-            found = probe.found.copy()
-            probes = np.asarray(probe.probes, dtype=np.int64).copy()
-            kprefix = np.searchsorted(sub_pos, ops.read_pos[r:r_end])
-            cuts = np.nonzero(np.diff(kprefix))[0] + 1
-            starts = np.concatenate([np.zeros(1, dtype=np.int64),
-                                     cuts])
-            ends = np.concatenate([cuts, np.asarray([kprefix.size],
-                                                    dtype=np.int64)])
-            tombs = self._tombs
-            done = 0
-            adjust_seconds = 0.0
-            for cs, ce in zip(starts, ends):
-                upto = int(kprefix[cs])
-                if upto > done:
-                    chunk_eff = eff[done:upto]
-                    chunk_key = sub_key[done:upto]
-                    delta = sorted_insert_unique(
-                        delta, chunk_key[chunk_eff == EFF_FRESH])
-                    tombs = sorted_insert_unique(
-                        sorted_remove_present(
-                            tombs,
-                            chunk_key[chunk_eff == EFF_REVIVE]),
-                        chunk_key[chunk_eff == EFF_TOMB])
-                    done = upto
-                ck = keys[cs:ce]
-                f = found[cs:ce]
-                p = probes[cs:ce]
-                started = (time.perf_counter() if metrics is not None
-                           else 0.0)
-                # Same adjustment order as lookup_batch: the index's
-                # side tables first, the tombstone check last.
-                side_table_search(delta, ck, f, p)
-                side_table_search(quar, ck, f, p)
-                if tombs.size:
-                    idx = np.minimum(np.searchsorted(tombs, ck),
-                                     tombs.size - 1)
-                    dead = f & (tombs[idx] == ck)
-                    p[f] += 1
-                    f[dead] = False
-                if metrics is not None:
-                    adjust_seconds += time.perf_counter() - started
-            if metrics is not None:
-                metrics.observe("columnar.adjust", adjust_seconds)
-            found_out[r:r_end] = found
-            probes_out[r:r_end] = probes
-        self._index._absorb_fresh(seg_fresh)
+    def _apply_effects(self, eff: np.ndarray,
+                       sub_key: np.ndarray) -> None:
+        # The index absorbs the fresh keys, already screened for
+        # absence and split at the retrain crossing.
+        self._index._absorb_fresh(sub_key[eff == EFF_FRESH])
         self._tombs = sorted_insert_unique(
             sorted_remove_present(self._tombs,
                                   sub_key[eff == EFF_REVIVE]),
             sub_key[eff == EFF_TOMB])
+
+    def _adjust_reads(self, keys: np.ndarray, found: np.ndarray,
+                      probes: np.ndarray) -> None:
+        side_table_search(self._index.delta_keys, keys, found, probes)
+        side_table_search(self._index.quarantine_keys, keys, found,
+                          probes)
+        if self._tombs.size:
+            probes[found] += 1
+            found &= ~sorted_member(self._tombs, keys)
 
 
 BACKENDS: dict[str, type[ServingBackend]] = {
