@@ -870,17 +870,7 @@ class DynamicBackend(ServingBackend):
         self._tombs = np.union1d(self._tombs, present)
         if (self._tombs.size
                 >= self._threshold * max(self._index.n_keys, 1)):
-            self._fold()
-
-    def _fold(self) -> None:
-        """Compact the tombstones into a fresh index over the live
-        keys."""
-        live = self.live_keys()
-        self._tombs = np.empty(0, dtype=np.int64)
-        # The replacement index restarts its internal counter; fold
-        # the finished one's cycles in before dropping it.
-        self._retrains += self._index.retrain_count + 1
-        self._build(live)
+            self.rebuild()
 
     def _model_lookup(self, keys: np.ndarray):
         probe = self._index.rmi.lookup_batch(keys)
@@ -930,7 +920,7 @@ class DynamicBackend(ServingBackend):
             # retrain threshold: run exactly that merge.
             self._index.flush()
         else:
-            self._fold()
+            self.rebuild()
 
     def _apply_effects(self, eff: np.ndarray,
                        sub_key: np.ndarray) -> None:
