@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
     KeySpaceExhausted,
     brute_force_single_point,
     exhaustive_multi_point,
+    fit_cdf_regression,
     greedy_poison,
     optimal_single_point,
 )
@@ -72,8 +73,15 @@ class TestExhaustiveMultiPoint:
 @given(st.lists(st.integers(min_value=0, max_value=600), min_size=4,
                 max_size=40, unique=True))
 @settings(max_examples=30, deadline=None)
+@example([0, 130, 131, 173, 174, 304])
 def test_fast_attack_is_never_beaten_by_brute_force(raw):
-    """Property: the O(n) attack achieves the brute-force maximum."""
+    """Property: the O(n) attack achieves the brute-force maximum.
+
+    Keys that tie in exact arithmetic (132 and 172 on the
+    mirror-symmetric example) may resolve either way in floating
+    point, so the fast attack's key is re-scored with the brute
+    force's own refit rather than compared to the brute force's key.
+    """
     ks = KeySet(raw)
     try:
         fast = optimal_single_point(ks)
@@ -81,4 +89,5 @@ def test_fast_attack_is_never_beaten_by_brute_force(raw):
         return
     slow = brute_force_single_point(ks)
     assert fast.loss_after == pytest.approx(slow.loss_after, rel=1e-9)
-    assert fast.key == slow.key
+    refit = fit_cdf_regression(ks.insert(np.asarray([fast.key]))).mse
+    assert refit == pytest.approx(slow.loss_after, rel=1e-12)
