@@ -5,8 +5,7 @@ import pytest
 
 from repro.data.keyset import Domain
 from repro.data.synthetic import uniform_keyset
-from repro.workload import OP_DELETE
-from repro.workload.backends import BACKENDS, make_backend
+from repro.workload import BACKENDS, OP_DELETE, make_backend
 
 ALL = sorted(BACKENDS)
 LEARNED = ("linear", "rmi", "dynamic")
@@ -153,8 +152,6 @@ class TestInsertAccounting:
             self, name, keys, fresh):
         backend = make_backend(name, keys)
         backend.insert_batch(fresh[:5])
-        # Learned backends buffer the keys; binary and btree apply
-        # them in place.
         assert backend.pending_updates == (5 if name in LEARNED else 0)
         backend.insert_batch(fresh[:5])  # same keys again
         assert backend.n_keys == keys.size + 5
@@ -210,31 +207,6 @@ class TestQuarantineAccounting:
         assert backend.quarantine_size == 0
         assert backend.n_keys == live_before + 120
         found, _ = backend.lookup_batch(np.concatenate([keys, fresh]))
-        assert found.all()
-
-    @pytest.mark.parametrize("replay", (False, True))
-    def test_tombstone_fold_keeps_crafted_keys_out_of_the_model(
-            self, replay):
-        """The dynamic backend's tombstone fold rebuilds through the
-        TRIM screen, on the batch surface and in ``replay_ops``: a
-        crafted cluster the screen rejects does not rejoin the model
-        when deletes trip the fold."""
-        keys = np.arange(0, 40_000, 40, dtype=np.int64)
-        crafted = np.setdiff1d(np.arange(20_001, 20_061), keys)
-        backend = make_backend("dynamic", keys, rebuild_threshold=0.05,
-                               trim_keep_fraction=0.9)
-        backend.insert_batch(crafted)
-        assert backend.quarantine_size == 105
-        retrains = backend.retrain_count
-        if replay:
-            backend.replay_ops(np.full(60, OP_DELETE, dtype=np.int8),
-                               keys[:60], np.zeros(60, dtype=np.int64))
-        else:
-            backend.delete_batch(keys[:60])
-        assert backend.retrain_count == retrains + 1  # the fold ran
-        assert backend.quarantine_size > 0
-        assert not np.isin(crafted, backend._index.rmi.store.keys).any()
-        found, _ = backend.lookup_batch(crafted)
         assert found.all()
 
 
@@ -301,3 +273,30 @@ class TestRegistry:
     def test_invalid_threshold_rejected(self, keys):
         with pytest.raises(ValueError, match="threshold"):
             make_backend("rmi", keys, rebuild_threshold=0.0)
+
+
+class TestDynamicFold:
+    @pytest.mark.parametrize("replay", (False, True))
+    def test_tombstone_fold_keeps_crafted_keys_out_of_the_model(
+            self, replay):
+        """The dynamic backend's tombstone fold rebuilds through the
+        TRIM screen, on the batch surface and in ``replay_ops``: a
+        crafted cluster the screen rejects does not rejoin the model
+        when deletes trip the fold."""
+        keys = np.arange(0, 40_000, 40, dtype=np.int64)
+        crafted = np.setdiff1d(np.arange(20_001, 20_061), keys)
+        backend = make_backend("dynamic", keys, rebuild_threshold=0.05,
+                               trim_keep_fraction=0.9)
+        backend.insert_batch(crafted)
+        assert backend.quarantine_size == 105
+        retrains = backend.retrain_count
+        if replay:
+            backend.replay_ops(np.full(60, OP_DELETE, dtype=np.int8),
+                               keys[:60], np.zeros(60, dtype=np.int64))
+        else:
+            backend.delete_batch(keys[:60])
+        assert backend.retrain_count == retrains + 1  # the fold ran
+        assert backend.quarantine_size > 0
+        assert not np.isin(crafted, backend._index.rmi.store.keys).any()
+        found, _ = backend.lookup_batch(crafted)
+        assert found.all()
