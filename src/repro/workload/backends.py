@@ -532,9 +532,9 @@ class ServingBackend:
 
     def _crossings(self, eff: np.ndarray,
                    sub_ins: np.ndarray) -> np.ndarray:
-        """Mask of the sub-ops whose single-key call would rebuild:
-        every mutation checks, so the first sub-op at which pending
-        updates (a cumsum of the effects) reach the threshold."""
+        """Mask of the sub-ops whose single-key call would fire.  Here
+        every mutation checks whether pending updates (a cumsum of the
+        effects) reach the rebuild threshold."""
         pend = self.pending_updates + np.cumsum(self._DPEND[eff])
         return pend >= self._threshold * max(self._snapshot.size, 1)
 
