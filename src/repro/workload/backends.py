@@ -574,8 +574,11 @@ class ServingBackend:
             # Tombstoned keys still sit in the model; membership says
             # no.  The searchsorted check stands in for the O(1)
             # bitmap a real system would consult, costing one probe.
+            idx = np.minimum(np.searchsorted(self._tombs, keys),
+                             self._tombs.size - 1)
+            dead = found & (self._tombs[idx] == keys)
             probes[found] += 1
-            found &= ~sorted_member(self._tombs, keys)
+            found[dead] = False
         side_table_search(self._delta, keys, found, probes)
         side_table_search(self._quarantine, keys, found, probes)
 
@@ -938,8 +941,11 @@ class DynamicBackend(ServingBackend):
         side_table_search(self._index.quarantine_keys, keys, found,
                           probes)
         if self._tombs.size:
+            idx = np.minimum(np.searchsorted(self._tombs, keys),
+                             self._tombs.size - 1)
+            dead = found & (self._tombs[idx] == keys)
             probes[found] += 1
-            found &= ~sorted_member(self._tombs, keys)
+            found[dead] = False
 
 
 BACKENDS: dict[str, type[ServingBackend]] = {
