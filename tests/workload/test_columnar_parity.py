@@ -188,9 +188,6 @@ class TestRechunkInvariance:
         assert a.retrains == whole.retrains
 
 
-_INSERTS = {OP_INSERT, OP_POISON}
-
-
 def _columns(hazard, ops):
     kinds, keys, aux = (np.asarray(col, dtype=np.int64)
                         for col in zip(*ops))
@@ -225,7 +222,7 @@ def clean_slice(draw):
     ops = draw(_random_ops(200, min_size=20, max_size=60))
     inserted, deleted = set(), set()
     for i, (kind, key, aux) in enumerate(ops):
-        ins = ({key} if kind in _INSERTS
+        ins = ({key} if kind in (OP_INSERT, OP_POISON)
                else {aux} if kind == OP_MODIFY else set())
         dels = {key} if kind in (OP_DELETE, OP_MODIFY) else set()
         if ins & (deleted | dels) or dels & inserted:
