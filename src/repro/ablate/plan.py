@@ -61,8 +61,8 @@ from ..experiments.cluster_serving import (
     spec_for as cluster_spec_for,
 )
 from ..experiments.report import format_ratio, render_table, section
-from ..io import json_float, parse_json_float
-from ..runtime import Cell, CellOutput, CheckpointStore, SweepEngine
+from ..io import json_fields, json_float, parse_json_float
+from ..runtime import Cell, CellOutput, sweep
 from ..workload import (
     ServingSimulator,
     TrimAutoTuner,
@@ -551,18 +551,7 @@ class AblateResult:
             "poison_percentage": self.config.poison_percentage,
             "transport": self.config.transport,
             "replicas": self.config.replicas,
-            "cells": [
-                {
-                    "scenario": r.scenario,
-                    "variant": r.variant,
-                    "amplification": json_float(r.amplification),
-                    "p95": json_float(r.p95),
-                    "slo_violations": json_float(r.slo_violations),
-                    "retrains": r.retrains,
-                    "injected_poison": r.injected_poison,
-                }
-                for r in self.rows
-            ],
+            "cells": [json_fields(r) for r in self.rows],
             "ablation": to_section(list(self.reports())),
         }
 
@@ -573,30 +562,13 @@ def run(config: AblateConfig | None = None, jobs: int = 1,
         progress=None) -> AblateResult:
     """Run the whole grid; identical results for any jobs/executor."""
     config = config or quick_config()
-    store = None
-    if checkpoint_dir is not None:
-        store = CheckpointStore(checkpoint_dir)
-        store.write_manifest({
-            "experiment": "defense-ablation",
-            "config": {
-                "scenarios": list(config.scenarios),
-                "components": (None if config.components is None
-                               else list(config.components)),
-                "backend": config.backend,
-                "n_base_keys": config.n_base_keys,
-                "poison_percentage": config.poison_percentage,
-                "transport": config.transport,
-                "replicas": config.replicas,
-                "seed": config.seed,
-            },
-        })
-    engine = SweepEngine(run_ablate_cell, jobs=jobs, checkpoint=store,
-                         resume=resume, executor=executor,
-                         progress=progress)
     plan = plan_cells(config)
+    outputs = sweep(run_ablate_cell, plan, "defense-ablation", config,
+                    jobs=jobs, checkpoint_dir=checkpoint_dir,
+                    resume=resume, executor=executor, progress=progress)
     rows = []
-    for cell, outcome in zip(plan, engine.run(plan)):
-        p = cell.params_dict
+    for cell, output in zip(plan, outputs):
+        p, outcome = cell.params_dict, output.result
         rows.append(AblateRow(
             scenario=p["scenario"],
             variant=p["variant"],

@@ -33,8 +33,8 @@ import numpy as np
 from ..core.rmi_attack import poison_rmi
 from ..core.threat_model import RMIAttackerCapability
 from ..data.keyset import KeySet
-from ..io import json_float, parse_json_float
-from ..runtime import Cell, CellOutput, CheckpointStore, SweepEngine
+from ..io import json_fields, json_float, parse_json_float
+from ..runtime import Cell, CellOutput, sweep
 from ..workload import (
     ServingSimulator,
     TraceSpec,
@@ -216,26 +216,7 @@ class ClosedLoopResult:
             "n_ticks": self.config.n_ticks,
             "rate": self.config.rate,
             "poison_percentage": self.config.poison_percentage,
-            "cells": [
-                {
-                    "arrival": r.arrival,
-                    "backend": r.backend,
-                    "adversary": r.adversary,
-                    "defense": r.defense,
-                    "p50": json_float(r.p50),
-                    "p95": json_float(r.p95),
-                    "p99": json_float(r.p99),
-                    "retrains": r.retrains,
-                    "injected_poison": r.injected_poison,
-                    "amplification": json_float(r.amplification),
-                    "max_error_bound": json_float(r.max_error_bound),
-                    "final_keep_fraction": json_float(
-                        r.final_keep_fraction),
-                    "final_rebuild_threshold": json_float(
-                        r.final_rebuild_threshold),
-                }
-                for r in self.rows
-            ],
+            "cells": [json_fields(r) for r in self.rows],
         }
 
 
@@ -347,30 +328,13 @@ def run(config: ClosedLoopConfig | None = None, jobs: int = 1,
         progress=None) -> ClosedLoopResult:
     """Run the whole grid; identical results for any jobs/executor."""
     config = config or quick_config()
-    store = None
-    if checkpoint_dir is not None:
-        store = CheckpointStore(checkpoint_dir)
-        store.write_manifest({
-            "experiment": "closedloop-serving",
-            "config": {
-                "arrivals": list(config.arrivals),
-                "backends": list(config.backends),
-                "adversaries": list(config.adversaries),
-                "defenses": list(config.defenses),
-                "n_base_keys": config.n_base_keys,
-                "n_ticks": config.n_ticks,
-                "rate": config.rate,
-                "poison_percentage": config.poison_percentage,
-                "seed": config.seed,
-            },
-        })
-    engine = SweepEngine(run_closedloop_cell, jobs=jobs,
-                         checkpoint=store, resume=resume,
-                         executor=executor, progress=progress)
     plan = plan_cells(config)
+    outputs = sweep(run_closedloop_cell, plan, "closedloop-serving",
+                    config, jobs=jobs, checkpoint_dir=checkpoint_dir,
+                    resume=resume, executor=executor, progress=progress)
     rows = []
-    for cell, outcome in zip(plan, engine.run(plan)):
-        p = cell.params_dict
+    for cell, output in zip(plan, outputs):
+        p, outcome = cell.params_dict, output.result
         rows.append(ClosedLoopRow(
             arrival=p["arrival"],
             backend=p["backend"],

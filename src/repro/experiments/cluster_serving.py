@@ -47,8 +47,8 @@ from ..cluster import (
     TransportConfig,
     make_cluster_adversary,
 )
-from ..io import json_float, parse_json_float
-from ..runtime import Cell, CellOutput, CheckpointStore, SweepEngine
+from ..io import json_fields, json_float, parse_json_float
+from ..runtime import Cell, CellOutput, sweep
 from ..workload import TraceSpec, generate_trace
 from .report import (
     DuelRow,
@@ -258,27 +258,7 @@ class ClusterResult:
             "victim_tenant": VICTIM_TENANT,
             "transport": self.config.transport,
             "replicas": self.config.replicas,
-            "cells": [
-                {
-                    "tenant_layout": r.tenant_layout,
-                    "n_shards": r.n_shards,
-                    "backend": r.backend,
-                    "adversary": r.adversary,
-                    "defense": r.defense,
-                    "p95": json_float(r.p95),
-                    "victim_p95": json_float(r.victim_p95),
-                    "victim_amplification": json_float(
-                        r.victim_amplification),
-                    "victim_slo_violations": json_float(
-                        r.victim_slo_violations),
-                    "retrains": r.retrains,
-                    "injected_poison": r.injected_poison,
-                    "migrated_keys": r.migrated_keys,
-                    "final_n_shards": r.final_n_shards,
-                    "max_imbalance": json_float(r.max_imbalance),
-                }
-                for r in self.rows
-            ],
+            "cells": [json_fields(r) for r in self.rows],
         }
 
 
@@ -583,33 +563,13 @@ def run(config: ClusterConfig | None = None, jobs: int = 1,
         executor: str = "process", progress=None) -> ClusterResult:
     """Run the whole grid; identical results for any jobs/executor."""
     config = config or quick_config()
-    store = None
-    if checkpoint_dir is not None:
-        store = CheckpointStore(checkpoint_dir)
-        store.write_manifest({
-            "experiment": "cluster-serving",
-            "config": {
-                "tenant_layouts": list(config.tenant_layouts),
-                "shard_counts": list(config.shard_counts),
-                "backends": list(config.backends),
-                "adversaries": list(config.adversaries),
-                "defenses": list(config.defenses),
-                "n_tenants": config.n_tenants,
-                "n_base_keys": config.n_base_keys,
-                "n_ops": config.n_ops,
-                "poison_percentage": config.poison_percentage,
-                "transport": config.transport,
-                "replicas": config.replicas,
-                "seed": config.seed,
-            },
-        })
-    engine = SweepEngine(run_cluster_cell, jobs=jobs, checkpoint=store,
-                         resume=resume, executor=executor,
-                         progress=progress)
     plan = plan_cells(config)
+    outputs = sweep(run_cluster_cell, plan, "cluster-serving", config,
+                    jobs=jobs, checkpoint_dir=checkpoint_dir,
+                    resume=resume, executor=executor, progress=progress)
     rows = []
-    for cell, outcome in zip(plan, engine.run(plan)):
-        p = cell.params_dict
+    for cell, output in zip(plan, outputs):
+        p, outcome = cell.params_dict, output.result
         rows.append(ClusterRow(
             tenant_layout=p["tenant_layout"],
             n_shards=p["n_shards"],

@@ -29,7 +29,7 @@ from ..core.threat_model import RMIAttackerCapability
 from ..data.keyset import Domain
 from ..data.synthetic import lognormal_keyset, uniform_keyset
 from ..io import json_float, parse_json_float
-from ..runtime import Cell, CheckpointStore, SweepEngine, stable_text_hash
+from ..runtime import Cell, stable_text_hash, sweep
 from .report import format_ratio, render_table, section
 
 __all__ = ["Fig6Config", "Fig6Cell", "Fig6Result", "plan_cells",
@@ -205,30 +205,13 @@ def run(config: Fig6Config | None = None, jobs: int = 1,
         progress=None) -> Fig6Result:
     """Run every cell of the grid, optionally in parallel/resumable."""
     config = config or quick_config()
-    store = None
-    if checkpoint_dir is not None:
-        store = CheckpointStore(checkpoint_dir)
-        store.write_manifest({
-            "experiment": "fig6-rmi",
-            "config": {
-                "n_keys": config.n_keys,
-                "model_sizes": list(config.model_sizes),
-                "domain_multipliers": list(config.domain_multipliers),
-                "distributions": list(config.distributions),
-                "poisoning_percentages": list(
-                    config.poisoning_percentages),
-                "alphas": list(config.alphas),
-                "seed": config.seed,
-            },
-        })
-    engine = SweepEngine(run_rmi_cell, jobs=jobs, checkpoint=store,
-                         resume=resume, executor=executor,
-                         progress=progress)
     plan = plan_cells(config)
-    outcomes = engine.run(plan)
+    outputs = sweep(run_rmi_cell, plan, "fig6-rmi", config, jobs=jobs,
+                    checkpoint_dir=checkpoint_dir, resume=resume,
+                    executor=executor, progress=progress)
     cells = []
-    for cell, outcome in zip(plan, outcomes):
-        p = cell.params_dict
+    for cell, output in zip(plan, outputs):
+        p, outcome = cell.params_dict, output.result
         cells.append(Fig6Cell(
             distribution=p["distribution"],
             model_size=p["model_size"],

@@ -42,13 +42,7 @@ from ..data.realworld import (
     osm_school_latitudes,
 )
 from ..io import json_float, parse_json_float
-from ..runtime import (
-    Cell,
-    CellOutput,
-    CheckpointStore,
-    SweepEngine,
-    stable_seed_words,
-)
+from ..runtime import Cell, CellOutput, stable_seed_words, sweep
 from .report import format_ratio, render_table, section
 
 __all__ = ["Fig7Config", "Fig7Cell", "Fig7Result", "DatasetProfile",
@@ -290,25 +284,10 @@ def run(config: Fig7Config | None = None, jobs: int = 1,
     identical for every combination of those options.
     """
     config = config or quick_config()
-    store = None
-    if checkpoint_dir is not None:
-        store = CheckpointStore(checkpoint_dir)
-        store.write_manifest({
-            "experiment": "fig7-rmi",
-            "config": {
-                "datasets": [list(pair) for pair in config.datasets()],
-                "model_sizes": list(config.model_sizes),
-                "poisoning_percentages": list(
-                    config.poisoning_percentages),
-                "alpha": config.alpha,
-                "seed": config.seed,
-            },
-        })
-    engine = SweepEngine(run_realworld_cell, jobs=jobs, checkpoint=store,
-                         resume=resume, executor=executor,
-                         progress=progress)
     plan = plan_cells(config)
-    outputs = engine.run_outputs(plan)
+    outputs = sweep(run_realworld_cell, plan, "fig7-rmi", config,
+                    jobs=jobs, checkpoint_dir=checkpoint_dir,
+                    resume=resume, executor=executor, progress=progress)
     cells = []
     profile_by_dataset: dict[str, DatasetProfile] = {}
     for cell, output in zip(plan, outputs):

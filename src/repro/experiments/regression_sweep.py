@@ -23,7 +23,7 @@ from ..core.greedy import greedy_poison
 from ..core.metrics import BoxplotSummary, summarize
 from ..data.keyset import Domain, KeySet
 from ..data.synthetic import normal_keyset, uniform_keyset
-from ..runtime import Cell, CheckpointStore, SweepEngine
+from ..runtime import Cell, sweep
 from .report import format_ratio, render_table, section
 
 __all__ = [
@@ -233,25 +233,11 @@ def run_sweep(config: SweepConfig, jobs: int = 1,
     computes what is missing.  Results are identical for every
     combination of those options.
     """
-    store = None
-    if checkpoint_dir is not None:
-        store = CheckpointStore(checkpoint_dir)
-        store.write_manifest({
-            "experiment": f"regression-sweep/{config.distribution}",
-            "config": {
-                "distribution": config.distribution,
-                "key_counts": list(config.key_counts),
-                "densities": list(config.densities),
-                "poisoning_percentages": list(
-                    config.poisoning_percentages),
-                "n_trials": config.n_trials,
-                "seed": config.seed,
-            },
-        })
-    engine = SweepEngine(run_trial_cell, jobs=jobs, checkpoint=store,
-                         resume=resume, executor=executor,
-                         progress=progress)
-    return _aggregate(config, engine.run(plan_cells(config)))
+    outputs = sweep(run_trial_cell, plan_cells(config),
+                    f"regression-sweep/{config.distribution}", config,
+                    jobs=jobs, checkpoint_dir=checkpoint_dir,
+                    resume=resume, executor=executor, progress=progress)
+    return _aggregate(config, [output.result for output in outputs])
 
 
 def fig5_config(profile: str = "quick") -> SweepConfig:

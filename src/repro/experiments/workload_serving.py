@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import Any
 
 
-from ..io import json_float, parse_json_float
-from ..runtime import Cell, CellOutput, CheckpointStore, SweepEngine
+from ..io import json_fields, parse_json_float
+from ..runtime import Cell, CellOutput, sweep
 from ..workload import (
     ServingSimulator,
     TraceSpec,
@@ -127,22 +127,7 @@ class WorkloadResult:
             "seed": self.config.seed,
             "n_base_keys": self.config.n_base_keys,
             "n_ops": self.config.n_ops,
-            "cells": [
-                {
-                    "query_mix": r.query_mix,
-                    "poison_schedule": r.poison_schedule,
-                    "backend": r.backend,
-                    "p50": json_float(r.p50),
-                    "p95": json_float(r.p95),
-                    "p99": json_float(r.p99),
-                    "mean_probes": json_float(r.mean_probes),
-                    "found_fraction": json_float(r.found_fraction),
-                    "retrains": r.retrains,
-                    "amplification": json_float(r.amplification),
-                    "max_error_bound": json_float(r.max_error_bound),
-                }
-                for r in self.rows
-            ],
+            "cells": [json_fields(r) for r in self.rows],
         }
 
 
@@ -209,28 +194,13 @@ def run(config: WorkloadConfig | None = None, jobs: int = 1,
         executor: str = "process", progress=None) -> WorkloadResult:
     """Run the whole grid; identical results for any jobs/executor."""
     config = config or quick_config()
-    store = None
-    if checkpoint_dir is not None:
-        store = CheckpointStore(checkpoint_dir)
-        store.write_manifest({
-            "experiment": "workload-serving",
-            "config": {
-                "query_mixes": list(config.query_mixes),
-                "poison_schedules": list(config.poison_schedules),
-                "backends": list(config.backends),
-                "n_base_keys": config.n_base_keys,
-                "n_ops": config.n_ops,
-                "poison_percentage": config.poison_percentage,
-                "seed": config.seed,
-            },
-        })
-    engine = SweepEngine(run_workload_cell, jobs=jobs, checkpoint=store,
-                         resume=resume, executor=executor,
-                         progress=progress)
     plan = plan_cells(config)
+    outputs = sweep(run_workload_cell, plan, "workload-serving", config,
+                    jobs=jobs, checkpoint_dir=checkpoint_dir,
+                    resume=resume, executor=executor, progress=progress)
     rows = []
-    for cell, outcome in zip(plan, engine.run(plan)):
-        p = cell.params_dict
+    for cell, output in zip(plan, outputs):
+        p, outcome = cell.params_dict, output.result
         rows.append(WorkloadRow(
             query_mix=p["query_mix"],
             poison_schedule=p["poison_schedule"],

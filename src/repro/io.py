@@ -10,6 +10,7 @@ library.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import uuid
@@ -31,6 +32,7 @@ __all__ = [
     "greedy_result_to_dict",
     "rmi_result_to_dict",
     "json_float",
+    "json_fields",
     "parse_json_float",
     "save_json",
     "load_json",
@@ -145,6 +147,13 @@ def json_float(value: float) -> float | str:
     if value == float("-inf"):
         return "-inf"
     return value
+
+
+def json_fields(row: Any) -> dict[str, Any]:
+    """A dataclass row as a JSON-safe dict: every field through
+    :func:`json_float`, which passes non-float values unchanged."""
+    return {field.name: json_float(getattr(row, field.name))
+            for field in dataclasses.fields(row)}
 
 
 def parse_json_float(value: float | str) -> float:

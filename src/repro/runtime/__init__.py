@@ -15,8 +15,9 @@ of the individual experiment modules:
   which makes ``jobs=1`` and ``jobs=N`` bit-identical by construction.
 
 Experiment modules keep their public ``run(config) -> result`` shape;
-they gain ``jobs`` / ``checkpoint_dir`` / ``resume`` keywords that are
-forwarded here.
+their ``jobs`` / ``checkpoint_dir`` / ``resume`` / ``executor`` /
+``progress`` keywords go to :func:`sweep`, the one path from a plan
+to its cell outputs.
 """
 
 from .cell import Cell, stable_seed_words, stable_text_hash
@@ -27,6 +28,7 @@ from .engine import (
     SweepEngine,
     SweepProgress,
     SweepStats,
+    sweep,
 )
 
 __all__ = [
@@ -39,4 +41,5 @@ __all__ = [
     "SweepEngine",
     "SweepProgress",
     "SweepStats",
+    "sweep",
 ]

@@ -39,6 +39,9 @@ can treat freshly computed and reloaded cells identically via
 A worker exception cancels the remaining queue and re-raises in the
 parent; cells that completed before the failure keep their
 checkpoints, so the fix-and-resume loop is cheap.
+
+Every sweep in the repository goes through :func:`sweep`, which opens
+the checkpoint store, writes its manifest and runs the engine.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     as_completed,
 )
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -61,7 +65,7 @@ from .cell import Cell
 from .checkpoint import CheckpointStore
 
 __all__ = ["CellOutput", "SweepEngine", "SweepStats", "SweepProgress",
-           "CellRunner", "EXECUTORS"]
+           "CellRunner", "EXECUTORS", "sweep"]
 
 #: Pool backends selectable per engine (and per CLI ``--executor``).
 EXECUTORS = {
@@ -314,3 +318,28 @@ class SweepEngine:
             self._checkpoint.save_cell(cell, output.result,
                                        arrays=output.arrays or None)
         return output
+
+
+def sweep(runner: CellRunner, plan: Sequence[Cell], experiment: str,
+          config: Any = None, *, jobs: int = 1,
+          checkpoint_dir: "str | Path | None" = None,
+          resume: bool = False, executor: str = "process",
+          progress: "ProgressCallback | None" = None,
+          ) -> list[CellOutput]:
+    """Run ``plan`` through a :class:`SweepEngine`; outputs in plan order.
+
+    With ``checkpoint_dir``, the store there records a manifest naming
+    ``experiment`` and, when given, the grid's ``config`` dataclass
+    (as :func:`dataclasses.asdict`) before any cell runs.
+    """
+    store = None
+    if checkpoint_dir is not None:
+        store = CheckpointStore(checkpoint_dir)
+        meta: dict[str, Any] = {"experiment": experiment}
+        if config is not None:
+            meta["config"] = asdict(config)
+        store.write_manifest(meta)
+    engine = SweepEngine(runner, jobs=jobs, checkpoint=store,
+                         resume=resume, executor=executor,
+                         progress=progress)
+    return engine.run_outputs(plan)
