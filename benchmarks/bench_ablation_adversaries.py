@@ -10,8 +10,8 @@ from repro.experiments import ablations
 
 
 def test_ablation_adversaries(once):
-    rows = once(lambda: ablations.run_adversary_comparison(
-        n_keys=1000, percentages=(5.0, 10.0, 20.0)))
+    rows = once(lambda: ablations.run(
+        "a11-adversaries", n_keys=1000, percentages=(5.0, 10.0, 20.0)))
     print()
     print(ablations.format_adversaries(rows))
     for row in rows:

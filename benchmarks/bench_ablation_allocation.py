@@ -8,8 +8,8 @@ from repro.experiments import ablations
 
 
 def test_ablation_allocation(once):
-    rows = once(lambda: ablations.run_allocation_ablation(
-        n_keys=10_000, model_size=500))
+    rows = once(lambda: ablations.run(
+        "a5-allocation", n_keys=10_000, model_size=500))
     print()
     print(ablations.format_allocation(rows))
     for row in rows:

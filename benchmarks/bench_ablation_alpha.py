@@ -10,8 +10,8 @@ from repro.experiments import ablations
 
 
 def test_ablation_alpha(once):
-    rows = once(lambda: ablations.run_alpha_sweep(
-        n_keys=10_000, model_size=500,
+    rows = once(lambda: ablations.run(
+        "a4-alpha", n_keys=10_000, model_size=500,
         alphas=(1.0, 1.5, 2.0, 3.0, 5.0)))
     print()
     print(ablations.format_alpha(rows))

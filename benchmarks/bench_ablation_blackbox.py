@@ -10,10 +10,10 @@ from repro.experiments import ablations
 
 
 def test_ablation_blackbox(once):
-    report = once(lambda: ablations.run_blackbox_ablation(
-        n_keys=5000, n_models=25, poisoning_percentage=10.0))
+    (report,) = once(lambda: ablations.run(
+        "a8-blackbox", n_keys=5000, n_models=25, poisoning_percentage=10.0))
     print()
-    print(ablations.format_blackbox(report))
+    print(ablations.format_blackbox([report]))
     assert report.models_recovered == report.n_models
     assert report.max_slope_error < 1e-9
     # The black-box attack matches the white-box attack.

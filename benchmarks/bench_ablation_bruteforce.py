@@ -8,8 +8,8 @@ from repro.experiments import ablations
 
 
 def test_ablation_bruteforce(once):
-    rows = once(lambda: ablations.run_bruteforce_equivalence(
-        key_counts=(50, 100, 200, 400), density=0.05))
+    rows = once(lambda: ablations.run(
+        "a1-bruteforce", key_counts=(50, 100, 200, 400), density=0.05))
     print()
     print(ablations.format_bruteforce(rows))
     assert all(r.same_key for r in rows)

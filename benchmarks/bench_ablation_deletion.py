@@ -11,8 +11,8 @@ from repro.experiments import ablations
 
 
 def test_ablation_deletion(once):
-    rows = once(lambda: ablations.run_deletion_ablation(
-        n_keys=1000, percentages=(5.0, 10.0, 20.0)))
+    rows = once(lambda: ablations.run(
+        "a6-deletion", n_keys=1000, percentages=(5.0, 10.0, 20.0)))
     print()
     print(ablations.format_deletion(rows))
     for row in rows:

@@ -11,8 +11,9 @@ from repro.experiments import ablations
 
 
 def test_ablation_polynomial(once):
-    rows = once(lambda: ablations.run_polynomial_ablation(
-        n_keys=1000, poisoning_percentage=10.0, degrees=(1, 2, 3, 5)))
+    rows = once(lambda: ablations.run(
+        "a7-polynomial", n_keys=1000, poisoning_percentage=10.0,
+        degrees=(1, 2, 3, 5)))
     print()
     print(ablations.format_polynomial(rows))
     # More capacity absorbs more poisoning...

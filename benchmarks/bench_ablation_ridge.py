@@ -11,8 +11,8 @@ from repro.experiments import ablations
 
 
 def test_ablation_ridge(once):
-    rows = once(lambda: ablations.run_ridge_ablation(
-        n_keys=1000, lam_fractions=(0.0, 0.01, 0.1, 0.5)))
+    rows = once(lambda: ablations.run(
+        "a10-ridge", n_keys=1000, lam_fractions=(0.0, 0.01, 0.1, 0.5)))
     print()
     print(ablations.format_ridge(rows))
     # Ratio falls with shrinkage...

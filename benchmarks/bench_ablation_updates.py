@@ -10,10 +10,10 @@ from repro.experiments import ablations
 
 
 def test_ablation_updates(once):
-    report = once(lambda: ablations.run_update_ablation(
-        n_keys=2000, n_models=20, poisoning_percentage=10.0))
+    (report,) = once(lambda: ablations.run(
+        "a9-updates", n_keys=2000, n_models=20, poisoning_percentage=10.0))
     print()
-    print(ablations.format_update(report))
+    print(ablations.format_update([report]))
     assert report.retrains_triggered >= 1
     # The update channel stages the identical training set, so the
     # damage matches the static attack (up to float summation order).

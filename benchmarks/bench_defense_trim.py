@@ -11,8 +11,8 @@ from repro.experiments import ablations
 
 
 def test_defense_trim(once):
-    rows = once(lambda: ablations.run_trim_defense(
-        n_keys=1000, percentages=(5.0, 10.0, 20.0)))
+    rows = once(lambda: ablations.run(
+        "a2-trim", n_keys=1000, percentages=(5.0, 10.0, 20.0)))
     print()
     print(ablations.format_trim(rows))
     # The attack did real damage before the defense ran.

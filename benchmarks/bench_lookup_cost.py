@@ -8,8 +8,8 @@ from repro.experiments import ablations
 
 
 def test_lookup_cost(once):
-    reports = once(lambda: ablations.run_lookup_cost(
-        n_keys=20_000, model_size=200, poisoning_percentage=10.0))
+    reports = once(lambda: ablations.run(
+        "a3-cost", n_keys=20_000, model_size=200, poisoning_percentage=10.0))
     print()
     print(ablations.format_lookup_cost(reports))
     by_label = {r.structure: r for r in reports}

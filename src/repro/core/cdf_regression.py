@@ -125,8 +125,9 @@ def fit_ridge_cdf(keyset: KeySet | np.ndarray, lam: float,
     slope: ``w* = Cov / (Var(K) + lam)``.  The paper deliberately
     studies the *non-regularised* model and remarks that "the impact
     of regularization is unclear in the context of LIS" (queries are
-    training data); :func:`repro.experiments.ablations.run_ridge_ablation`
-    measures whether shrinkage buys any poisoning robustness.  The
+    training data); the ``a10-ridge`` ablation target
+    (:data:`repro.experiments.ablations.ABLATIONS`) measures whether
+    shrinkage buys any poisoning robustness.  The
     reported ``mse`` is the *unpenalised* training error of the
     shrunken model — the quantity that drives lookup cost.
 

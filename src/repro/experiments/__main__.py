@@ -5,8 +5,16 @@ streaming serving grid:
 
     fig2 fig3 fig4 fig5 fig6 fig7 fig8
     workload closedloop cluster ablate
-    a1-bruteforce a2-trim a3-cost a4-alpha a5-allocation
+    a1-bruteforce a2-trim a3-cost a4-alpha a5-allocation a6-deletion
+    a7-polynomial a8-blackbox a9-updates a10-ridge a11-adversaries
     all
+
+The target table is built, not hand-written: one entry per
+:data:`repro.experiments.ablations.ABLATIONS` spec, one per grid
+module with ``quick_config``/``full_config``/``run``/``plan_cells``
+(fig6, fig7, closedloop), and one per regression sweep (fig5, fig8).
+Only ``workload``, ``cluster`` and ``ablate`` keep their own
+functions, because each reads something only it needs.
 
 ``--profile quick`` (default, ``--quick`` is an alias) runs the
 scaled-down configurations; ``--profile full`` runs the larger grids
@@ -37,8 +45,8 @@ all-off floor, ranked into a per-component importance report
 (``--list-components`` prints the registry; ``--components``
 restricts the axes).
 
-Runtime flags (engine-backed targets: fig5, fig6, fig7, fig8,
-workload, closedloop, cluster, ablate, and every ablation a1-a11):
+Runtime flags (engine-backed targets: every target except
+fig2-fig4):
 
 ``--jobs N``
     Fan the sweep's cells out over N workers.  Results are
@@ -61,6 +69,9 @@ workload, closedloop, cluster, ablate, and every ablation a1-a11):
 ``--resume``
     With ``--out``, reuse completed cells from a previous (possibly
     interrupted) run instead of recomputing them.
+``--transport {inproc,process}`` / ``--replicas K``
+    Only the ``cluster`` and ``ablate`` targets (and ``all``) serve
+    shards; any other target rejects a non-default value.
 ``--instrument``
     Opt-in observability: install a
     :class:`repro.observe.MetricsRegistry` for the duration of each
@@ -187,32 +198,40 @@ TargetOutput = tuple[str, "dict[str, Any] | None", "list[Any]"]
 Target = Callable[[RunOptions], TargetOutput]
 
 
-def _run_fig5(opts: RunOptions) -> TargetOutput:
-    config = fig5_config(opts.profile)
-    result = run_sweep(config, **opts.engine_kwargs("fig5"))
-    return result.format(), result.to_dict(), plan_regression(config)
+def _profile_config(module: Any, opts: RunOptions) -> Any:
+    """The module's ``full_config()`` or ``quick_config()``."""
+    return (module.full_config() if opts.profile == "full"
+            else module.quick_config())
 
 
-def _run_fig8(opts: RunOptions) -> TargetOutput:
-    config = fig8_config(opts.profile)
-    result = run_sweep(config, **opts.engine_kwargs("fig8"))
-    return result.format(), result.to_dict(), plan_regression(config)
+def _grid(name: str, module: Any) -> Target:
+    """A grid module's target: ``quick_config``/``full_config`` by
+    profile, then its ``run`` and ``plan_cells``."""
+    def target(opts: RunOptions) -> TargetOutput:
+        config = _profile_config(module, opts)
+        result = module.run(config, **opts.engine_kwargs(name))
+        return result.format(), result.to_dict(), module.plan_cells(config)
+    return target
 
 
-def _run_fig6(opts: RunOptions) -> TargetOutput:
-    config = (fig6_rmi_synthetic.full_config() if opts.profile == "full"
-              else fig6_rmi_synthetic.quick_config())
-    result = fig6_rmi_synthetic.run(config, **opts.engine_kwargs("fig6"))
-    return (result.format(), result.to_dict(),
-            fig6_rmi_synthetic.plan_cells(config))
+def _regression(name: str, make_config: Callable[[str], Any]) -> Target:
+    """Fig. 5 or Fig. 8: the regression sweep on its profile's grid."""
+    def target(opts: RunOptions) -> TargetOutput:
+        config = make_config(opts.profile)
+        result = run_sweep(config, **opts.engine_kwargs(name))
+        return result.format(), result.to_dict(), plan_regression(config)
+    return target
 
 
-def _run_fig7(opts: RunOptions) -> TargetOutput:
-    config = (fig7_rmi_realworld.full_config() if opts.profile == "full"
-              else fig7_rmi_realworld.quick_config())
-    result = fig7_rmi_realworld.run(config, **opts.engine_kwargs("fig7"))
-    return (result.format(), result.to_dict(),
-            fig7_rmi_realworld.plan_cells(config))
+def _ablation(name: str) -> Target:
+    """An A-series target from its :data:`ablations.ABLATIONS` spec."""
+    spec = ablations.ABLATIONS[name]
+
+    def target(opts: RunOptions) -> TargetOutput:
+        rows = ablations.run(name, **opts.engine_kwargs(name))
+        return (spec.format(rows), ablations.payload(name, rows),
+                spec.plan())
+    return target
 
 
 def _run_workload(opts: RunOptions) -> TargetOutput:
@@ -223,8 +242,7 @@ def _run_workload(opts: RunOptions) -> TargetOutput:
     The result payload itself stays deterministic (probe-count
     metrics), which is what the jobs-parity CI check compares.
     """
-    config = (workload_serving.full_config() if opts.profile == "full"
-              else workload_serving.quick_config())
+    config = _profile_config(workload_serving, opts)
     started = time.perf_counter()
     result = workload_serving.run(config,
                                   **opts.engine_kwargs("workload"))
@@ -264,23 +282,13 @@ def _run_workload(opts: RunOptions) -> TargetOutput:
             workload_serving.plan_cells(config))
 
 
-def _run_closedloop(opts: RunOptions) -> TargetOutput:
-    config = (closedloop_serving.full_config() if opts.profile == "full"
-              else closedloop_serving.quick_config())
-    result = closedloop_serving.run(config,
-                                    **opts.engine_kwargs("closedloop"))
-    return (result.format(), result.to_dict(),
-            closedloop_serving.plan_cells(config))
-
-
 def _run_cluster(opts: RunOptions) -> TargetOutput:
     """The sharded grid; ``--transport process`` runs it over worker
     processes (bit-identical numbers — the parity contract), and with
     ``--replicas >= 3`` appends the poisoned-replica duel (quorum
     reads + divergence detection vs naive primary reads)."""
-    config = (cluster_serving.full_config() if opts.profile == "full"
-              else cluster_serving.quick_config())
-    config = replace(config, transport=opts.transport,
+    config = replace(_profile_config(cluster_serving, opts),
+                     transport=opts.transport,
                      replicas=opts.replicas)
     result = cluster_serving.run(config,
                                  **opts.engine_kwargs("cluster"))
@@ -300,10 +308,8 @@ def _run_ablate(opts: RunOptions) -> TargetOutput:
     re-admits.  ``--components`` restricts which one-off cells run;
     ``--transport process --replicas >= 3`` adds the replication
     layer (quorum + divergence detection) as an ablation axis."""
-    config = (ablate.full_config() if opts.profile == "full"
-              else ablate.quick_config())
-    config = replace(config, transport=opts.transport,
-                     replicas=opts.replicas,
+    config = replace(_profile_config(ablate, opts),
+                     transport=opts.transport, replicas=opts.replicas,
                      components=opts.components)
     result = ablate.run(config, **opts.engine_kwargs("ablate"))
     return (result.format(), result.to_dict(),
@@ -322,146 +328,6 @@ def _format_components() -> str:
     return f"{section('ablatable defense components')}\n{table}"
 
 
-def _run_a1(opts: RunOptions) -> TargetOutput:
-    rows = ablations.run_bruteforce_equivalence(
-        **opts.engine_kwargs("a1-bruteforce"))
-    payload = {"rows": [
-        {"n_keys": r.n_keys, "domain_size": r.domain_size,
-         "same_key": r.same_key,
-         "fast_seconds": r.fast_seconds,
-         "brute_seconds": r.brute_seconds,
-         "speedup": io.json_float(r.speedup)}
-        for r in rows]}
-    return (ablations.format_bruteforce(rows), payload,
-            ablations.plan_bruteforce_cells())
-
-
-def _run_a2(opts: RunOptions) -> TargetOutput:
-    rows = ablations.run_trim_defense(**opts.engine_kwargs("a2-trim"))
-    payload = {"rows": [
-        {"poisoning_percentage": r.poisoning_percentage,
-         "attack_ratio": io.json_float(r.attack_ratio),
-         "variant": r.variant,
-         "recall": r.recall, "precision": r.precision,
-         "residual_ratio": io.json_float(r.residual_ratio)}
-        for r in rows]}
-    return (ablations.format_trim(rows), payload,
-            ablations.plan_trim_cells())
-
-
-def _run_a3(opts: RunOptions) -> TargetOutput:
-    reports = ablations.run_lookup_cost(**opts.engine_kwargs("a3-cost"))
-    payload = {"reports": [
-        {"structure": r.structure, "mean_cost": r.mean_cost,
-         "max_cost": r.max_cost, "n_queries": r.n_queries}
-        for r in reports]}
-    return (ablations.format_lookup_cost(reports), payload,
-            ablations.plan_lookup_cost_cells())
-
-
-def _run_a4(opts: RunOptions) -> TargetOutput:
-    rows = ablations.run_alpha_sweep(**opts.engine_kwargs("a4-alpha"))
-    payload = {"rows": [
-        {"alpha": r.alpha,
-         "rmi_ratio": io.json_float(r.rmi_ratio),
-         "max_model_ratio": io.json_float(r.max_model_ratio),
-         "exchanges": r.exchanges}
-        for r in rows]}
-    return (ablations.format_alpha(rows), payload,
-            ablations.plan_alpha_cells())
-
-
-def _run_a5(opts: RunOptions) -> TargetOutput:
-    rows = ablations.run_allocation_ablation(
-        **opts.engine_kwargs("a5-allocation"))
-    payload = {"rows": [
-        {"distribution": r.distribution,
-         "uniform_ratio": io.json_float(r.uniform_ratio),
-         "greedy_ratio": io.json_float(r.greedy_ratio),
-         "improvement": io.json_float(r.improvement)}
-        for r in rows]}
-    return (ablations.format_allocation(rows), payload,
-            ablations.plan_allocation_cells())
-
-
-def _run_a6(opts: RunOptions) -> TargetOutput:
-    rows = ablations.run_deletion_ablation(
-        **opts.engine_kwargs("a6-deletion"))
-    payload = {"rows": [
-        {"budget_percentage": r.budget_percentage,
-         "insertion_ratio": io.json_float(r.insertion_ratio),
-         "deletion_ratio": io.json_float(r.deletion_ratio)}
-        for r in rows]}
-    return (ablations.format_deletion(rows), payload,
-            ablations.plan_deletion_cells())
-
-
-def _run_a11(opts: RunOptions) -> TargetOutput:
-    rows = ablations.run_adversary_comparison(
-        **opts.engine_kwargs("a11-adversaries"))
-    payload = {"rows": [
-        {"budget_percentage": r.budget_percentage,
-         "insertion_ratio": io.json_float(r.insertion_ratio),
-         "deletion_ratio": io.json_float(r.deletion_ratio),
-         "modification_ratio": io.json_float(r.modification_ratio)}
-        for r in rows]}
-    return (ablations.format_adversaries(rows), payload,
-            ablations.plan_adversary_cells())
-
-
-def _run_a7(opts: RunOptions) -> TargetOutput:
-    rows = ablations.run_polynomial_ablation(
-        **opts.engine_kwargs("a7-polynomial"))
-    payload = {"rows": [
-        {"degree": r.degree, "n_parameters": r.n_parameters,
-         "multiply_adds": r.multiply_adds,
-         "poisoned_ratio": io.json_float(r.poisoned_ratio)}
-        for r in rows]}
-    return (ablations.format_polynomial(rows), payload,
-            ablations.plan_polynomial_cells())
-
-
-def _run_a8(opts: RunOptions) -> TargetOutput:
-    report = ablations.run_blackbox_ablation(
-        **opts.engine_kwargs("a8-blackbox"))
-    payload = {
-        "n_probes": report.n_probes,
-        "models_recovered": report.models_recovered,
-        "n_models": report.n_models,
-        "max_slope_error": io.json_float(report.max_slope_error),
-        "whitebox_ratio": io.json_float(report.whitebox_ratio),
-        "blackbox_ratio": io.json_float(report.blackbox_ratio),
-    }
-    return (ablations.format_blackbox(report), payload,
-            ablations.plan_blackbox_cells())
-
-
-def _run_a9(opts: RunOptions) -> TargetOutput:
-    report = ablations.run_update_ablation(
-        **opts.engine_kwargs("a9-updates"))
-    payload = {
-        "static_ratio": io.json_float(report.static_ratio),
-        "update_ratio": io.json_float(report.update_ratio),
-        "retrains_triggered": report.retrains_triggered,
-        "clean_lookup_cost": report.clean_lookup_cost,
-        "poisoned_lookup_cost": report.poisoned_lookup_cost,
-    }
-    return (ablations.format_update(report), payload,
-            ablations.plan_update_cells())
-
-
-def _run_a10(opts: RunOptions) -> TargetOutput:
-    rows = ablations.run_ridge_ablation(
-        **opts.engine_kwargs("a10-ridge"))
-    payload = {"rows": [
-        {"lam_fraction": r.lam_fraction, "clean_mse": r.clean_mse,
-         "poisoned_mse": r.poisoned_mse,
-         "poisoned_ratio": io.json_float(r.poisoned_ratio)}
-        for r in rows]}
-    return (ablations.format_ridge(rows), payload,
-            ablations.plan_ridge_cells())
-
-
 def _plain(render: Callable[[RunOptions], str]) -> Target:
     """Wrap a non-sweep target: formatted text only, no payload."""
     return lambda opts: (render(opts), None, [])
@@ -471,25 +337,15 @@ _TARGETS: dict[str, Target] = {
     "fig2": _plain(lambda opts: fig2_compound_effect.run().format()),
     "fig3": _plain(lambda opts: fig3_loss_landscape.run().format()),
     "fig4": _plain(lambda opts: fig4_greedy_showcase.run().format()),
-    "fig5": _run_fig5,
-    "fig6": _run_fig6,
-    "fig7": _run_fig7,
-    "fig8": _run_fig8,
+    "fig5": _regression("fig5", fig5_config),
+    "fig6": _grid("fig6", fig6_rmi_synthetic),
+    "fig7": _grid("fig7", fig7_rmi_realworld),
+    "fig8": _regression("fig8", fig8_config),
     "workload": _run_workload,
-    "closedloop": _run_closedloop,
+    "closedloop": _grid("closedloop", closedloop_serving),
     "cluster": _run_cluster,
     "ablate": _run_ablate,
-    "a1-bruteforce": _run_a1,
-    "a2-trim": _run_a2,
-    "a3-cost": _run_a3,
-    "a4-alpha": _run_a4,
-    "a5-allocation": _run_a5,
-    "a6-deletion": _run_a6,
-    "a7-polynomial": _run_a7,
-    "a8-blackbox": _run_a8,
-    "a9-updates": _run_a9,
-    "a10-ridge": _run_a10,
-    "a11-adversaries": _run_a11,
+    **{name: _ablation(name) for name in ablations.ABLATIONS},
 }
 
 
@@ -626,6 +482,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--replicas must be >= 1")
     if args.replicas > 1 and args.transport != "process":
         parser.error("--replicas > 1 requires --transport process")
+    if (args.target not in ("cluster", "ablate", "all")
+            and (args.transport != "inproc" or args.replicas != 1)):
+        parser.error("--transport and --replicas only apply to the "
+                     "cluster and ablate targets")
     if args.out is not None and args.out.exists() and not args.out.is_dir():
         parser.error(f"--out {args.out} exists and is not a directory")
     if args.list_components and args.target != "ablate":

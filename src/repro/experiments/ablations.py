@@ -21,14 +21,22 @@
   public insert API (the update-time adversary of Sec. VI).
 * **A10** — ridge regularisation: does L2 shrinkage (which the paper
   sets aside as "unclear" for LIS) buy any poisoning robustness?
+* **A11** — insertion vs deletion vs modification adversaries at
+  equal budget.
+
+Each target is one :class:`TargetSpec` in :data:`ABLATIONS`: a plan
+builder (the only place its knob defaults live), a cell runner, a row
+builder and a table formatter.  :func:`run` sweeps a target's plan
+and returns its rows; :func:`payload` flattens them into the CLI's
+``result`` payload.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -41,42 +49,63 @@ from ..data.keyset import Domain
 from ..data.synthetic import lognormal_keyset, uniform_keyset
 from ..defense.trim import TrimResult, trim_cdf, trim_regression
 from ..index.cost import CostReport, compare_costs
-from ..io import json_float, parse_json_float
-from ..runtime import (
-    Cell,
-    CellOutput,
-    CheckpointStore,
-    SweepEngine,
-    stable_seed_words,
-)
+from ..io import json_fields, json_float, parse_json_float
+from ..runtime import Cell, CellOutput, stable_seed_words, sweep
 from .report import format_ratio, render_table, section
 
 __all__ = [
+    "TargetSpec", "ABLATIONS", "run", "payload",
     "BruteForceRow", "plan_bruteforce_cells",
-    "run_bruteforce_equivalence",
-    "TrimRow", "plan_trim_cells", "run_trim_defense",
-    "plan_lookup_cost_cells", "run_lookup_cost",
-    "AlphaRow", "plan_alpha_cells", "run_alpha_sweep",
+    "TrimRow", "plan_trim_cells",
+    "plan_lookup_cost_cells",
+    "AlphaRow", "plan_alpha_cells",
     "AllocationRow", "plan_allocation_cells",
-    "run_allocation_ablation",
-    "DeletionRow", "plan_deletion_cells", "run_deletion_ablation",
+    "DeletionRow", "plan_deletion_cells",
     "PolynomialRow", "plan_polynomial_cells",
-    "run_polynomial_ablation",
-    "BlackboxReport", "plan_blackbox_cells", "run_blackbox_ablation",
-    "UpdateChannelReport", "plan_update_cells", "run_update_ablation",
-    "RidgeRow", "plan_ridge_cells", "run_ridge_ablation",
-    "AdversaryRow", "plan_adversary_cells", "run_adversary_comparison",
+    "BlackboxReport", "plan_blackbox_cells",
+    "UpdateChannelReport", "plan_update_cells",
+    "RidgeRow", "plan_ridge_cells",
+    "AdversaryRow", "plan_adversary_cells",
 ]
 
 
-def _engine(runner, jobs: int, checkpoint_dir: str | Path | None,
-            resume: bool, executor: str,
-            progress=None) -> SweepEngine:
-    """The sweep engine every A-series ablation shares."""
-    store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
-    return SweepEngine(runner, jobs=jobs, checkpoint=store,
-                       resume=resume, executor=executor,
-                       progress=progress)
+def _row(row_type: type, values: dict[str, Any]) -> Any:
+    """A row from the values of its fields' names.
+
+    Float fields go through :func:`parse_json_float`, undoing the
+    ``json_float`` sentinels a cell stores for inf/nan.
+    """
+    return row_type(**{
+        f.name: (parse_json_float(values[f.name]) if f.type == "float"
+                 else values[f.name])
+        for f in fields(row_type)})
+
+
+def _same_names(row_type: type, **renamed: str) -> Callable:
+    """Row builder: one row per cell from its params and result keys
+    of the same name; ``renamed`` maps a row field to the param it
+    reads."""
+    def rows(cell: Cell, result: dict[str, Any]) -> list[Any]:
+        values = {**cell.params_dict, **result}
+        for field_name, param in renamed.items():
+            values[field_name] = values[param]
+        return [_row(row_type, values)]
+    return rows
+
+
+def _ablation_keyset_and_budget(params: dict[str, Any],
+                                percentage: float):
+    """Rebuild an A-series cell's shared keyset and its budget.
+
+    Every budget cell regenerates the identical keyset from the shared
+    seed, so per-percentage comparisons stay exact across workers.
+    """
+    rng = np.random.default_rng(params["seed"])
+    keyset = uniform_keyset(
+        params["n_keys"],
+        Domain.of_size(int(params["n_keys"] / params["density"])), rng)
+    budget = int(params["n_keys"] * percentage / 100.0)
+    return keyset, budget
 
 
 # ----------------------------------------------------------------------
@@ -98,7 +127,16 @@ class BruteForceRow:
 def plan_bruteforce_cells(key_counts: tuple[int, ...] = (50, 100, 200),
                           density: float = 0.05,
                           seed: int = 5) -> list[Cell]:
-    """A1's plan: one cell per key count (defaults mirror the run)."""
+    """A1's plan: one cell per key count.
+
+    The O(n) attack must match the O(m n) oracle, faster.  The
+    equivalence verdict is deterministic; the timings are not, so
+    resumed runs keep the wall-clock numbers of the run that computed
+    each cell (which is what a benchmark log should do).  With
+    ``jobs > 1`` the cells time each other's contention as well —
+    run at ``jobs=1`` when the milliseconds themselves matter; the
+    asymptotic gap dwarfs contention either way.
+    """
     return [Cell.make("a1-bruteforce", n_keys=n, density=density,
                       seed=seed)
             for n in key_counts]
@@ -126,35 +164,6 @@ def run_bruteforce_cell(cell: Cell) -> dict[str, Any]:
         "speedup": json_float(brute_s / fast_s if fast_s > 0
                               else float("inf")),
     }
-
-
-def run_bruteforce_equivalence(
-        key_counts: tuple[int, ...] = (50, 100, 200),
-        density: float = 0.05, seed: int = 5, jobs: int = 1,
-        checkpoint_dir: str | Path | None = None, resume: bool = False,
-        executor: str = "process", progress=None) -> list[BruteForceRow]:
-    """A1: the O(n) attack must match the O(m n) oracle, faster.
-
-    The equivalence verdict is deterministic; the timings are not, so
-    resumed runs keep the wall-clock numbers of the run that computed
-    each cell (which is what a benchmark log should do).  With
-    ``jobs > 1`` the cells time each other's contention as well —
-    run at ``jobs=1`` when the milliseconds themselves matter; the
-    asymptotic gap dwarfs contention either way.
-    """
-    cells = plan_bruteforce_cells(key_counts, density, seed)
-    engine = _engine(run_bruteforce_cell, jobs, checkpoint_dir, resume,
-                     executor, progress)
-    return [
-        BruteForceRow(
-            n_keys=n,
-            domain_size=outcome["domain_size"],
-            same_key=outcome["same_key"],
-            fast_seconds=outcome["fast_seconds"],
-            brute_seconds=outcome["brute_seconds"],
-            speedup=parse_json_float(outcome["speedup"]))
-        for n, outcome in zip(key_counts, engine.run(cells))
-    ]
 
 
 def format_bruteforce(rows: list[BruteForceRow]) -> str:
@@ -192,7 +201,13 @@ def _residual_ratio(defended: TrimResult, clean_loss: float) -> float:
 def plan_trim_cells(n_keys: int = 1000, density: float = 0.1,
                     percentages: tuple[float, ...] = (5.0, 10.0, 20.0),
                     seed: int = 13) -> list[Cell]:
-    """A2's plan: one cell per poisoning percentage."""
+    """A2's plan: one cell per poisoning percentage.
+
+    Can TRIM undo the CDF attack?  For each percentage: poison, then
+    hand the defense the poisoned keyset and the true clean count
+    ``n`` (the most charitable setting), and measure how much loss
+    survives after trimming.
+    """
     return [Cell.make("a2-trim", n_keys=n_keys, density=density,
                       percentage=pct, seed=seed)
             for pct in percentages]
@@ -208,10 +223,7 @@ def run_trim_cell(cell: Cell) -> CellOutput:
     """
     p = cell.params_dict
     n_keys = p["n_keys"]
-    rng = np.random.default_rng(p["seed"])
-    keyset = uniform_keyset(
-        n_keys, Domain.of_size(int(n_keys / p["density"])), rng)
-    budget = int(n_keys * p["percentage"] / 100.0)
+    keyset, budget = _ablation_keyset_and_budget(p, p["percentage"])
     attack = greedy_poison(keyset, budget)
     poisoned = keyset.insert(attack.poison_keys)
     clean_loss = attack.loss_before
@@ -237,35 +249,13 @@ def run_trim_cell(cell: Cell) -> CellOutput:
                                           dtype=np.int64)})
 
 
-def run_trim_defense(n_keys: int = 1000, density: float = 0.1,
-                     percentages: tuple[float, ...] = (5.0, 10.0, 20.0),
-                     seed: int = 13, jobs: int = 1,
-                     checkpoint_dir: str | Path | None = None,
-                     resume: bool = False,
-                     executor: str = "process",
-                     progress=None) -> list[TrimRow]:
-    """A2: can TRIM undo the CDF attack?
-
-    For each percentage: poison, then hand the defense the poisoned
-    keyset and the true clean count ``n`` (the most charitable
-    setting), and measure how much loss survives after trimming.
-    """
-    cells = plan_trim_cells(n_keys, density, percentages, seed)
-    engine = _engine(run_trim_cell, jobs, checkpoint_dir, resume,
-                     executor, progress)
-    rows = []
-    for pct, outcome in zip(percentages, engine.run(cells)):
-        for variant in ("classic", "rank-aware"):
-            scores = outcome["variants"][variant]
-            rows.append(TrimRow(
-                poisoning_percentage=pct,
-                attack_ratio=parse_json_float(outcome["attack_ratio"]),
-                variant=variant,
-                recall=scores["recall"],
-                precision=scores["precision"],
-                residual_ratio=parse_json_float(
-                    scores["residual_ratio"])))
-    return rows
+def _trim_rows(cell: Cell, result: dict[str, Any]) -> list[TrimRow]:
+    """A2's rows: one per TRIM variant at the cell's percentage."""
+    return [_row(TrimRow, {
+                "poisoning_percentage": cell.params_dict["percentage"],
+                "attack_ratio": result["attack_ratio"],
+                "variant": variant, **result["variants"][variant]})
+            for variant in ("classic", "rank-aware")]
 
 
 def format_trim(rows: list[TrimRow]) -> str:
@@ -286,7 +276,13 @@ def plan_lookup_cost_cells(n_keys: int = 20_000, density: float = 0.1,
                            model_size: int = 200,
                            poisoning_percentage: float = 10.0,
                            seed: int = 17) -> list[Cell]:
-    """A3's plan: a single cell."""
+    """A3's plan: a single cell.
+
+    Clean RMI vs poisoned RMI vs B-Tree probe counts: a single (but
+    expensive at full size) unit of work, so it runs as one cell —
+    parallelism buys nothing here, but checkpoint/resume still lets an
+    interrupted ``all`` run skip it the second time.
+    """
     return [Cell.make("a3-cost", n_keys=n_keys, density=density,
                       model_size=model_size,
                       poisoning_percentage=poisoning_percentage,
@@ -314,29 +310,9 @@ def run_lookup_cost_cell(cell: Cell) -> dict[str, Any]:
         for r in reports]}
 
 
-def run_lookup_cost(n_keys: int = 20_000, density: float = 0.1,
-                    model_size: int = 200, poisoning_percentage: float = 10.0,
-                    seed: int = 17, jobs: int = 1,
-                    checkpoint_dir: str | Path | None = None,
-                    resume: bool = False,
-                    executor: str = "process",
-                    progress=None) -> list[CostReport]:
-    """A3: clean RMI vs poisoned RMI vs B-Tree probe counts.
-
-    A single (but expensive at full size) unit of work, so it runs as
-    one cell — parallelism buys nothing here, but checkpoint/resume
-    still lets an interrupted ``all`` run skip it the second time.
-    """
-    cells = plan_lookup_cost_cells(n_keys, density, model_size,
-                                   poisoning_percentage, seed)
-    engine = _engine(run_lookup_cost_cell, jobs, checkpoint_dir, resume,
-                     executor, progress)
-    (outcome,) = engine.run(cells)
-    return [CostReport(structure=r["structure"],
-                       mean_cost=r["mean_cost"],
-                       max_cost=r["max_cost"],
-                       n_queries=r["n_queries"])
-            for r in outcome["reports"]]
+def _cost_rows(cell: Cell, result: dict[str, Any]) -> list[CostReport]:
+    """A3's rows: the cell's one report per structure."""
+    return [CostReport(**report) for report in result["reports"]]
 
 
 def format_lookup_cost(reports: list[CostReport]) -> str:
@@ -364,7 +340,8 @@ def plan_alpha_cells(n_keys: int = 10_000, model_size: int = 500,
                      alphas: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0,
                                                   5.0),
                      seed: int = 19) -> list[Cell]:
-    """A4's plan: one cell per threshold multiplier."""
+    """A4's plan: one cell per threshold multiplier — how much
+    threshold slack helps the volume allocation."""
     return [Cell.make("a4-alpha", n_keys=n_keys, model_size=model_size,
                       poisoning_percentage=poisoning_percentage,
                       alpha=alpha, seed=seed)
@@ -389,29 +366,6 @@ def run_alpha_cell(cell: Cell) -> dict[str, Any]:
         "max_model_ratio": json_float(float(finite.max())),
         "exchanges": result.exchanges,
     }
-
-
-def run_alpha_sweep(n_keys: int = 10_000, model_size: int = 500,
-                    poisoning_percentage: float = 10.0,
-                    alphas: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0, 5.0),
-                    seed: int = 19, jobs: int = 1,
-                    checkpoint_dir: str | Path | None = None,
-                    resume: bool = False,
-                    executor: str = "process",
-                    progress=None) -> list[AlphaRow]:
-    """A4: how much threshold slack helps the volume allocation."""
-    cells = plan_alpha_cells(n_keys, model_size, poisoning_percentage,
-                             alphas, seed)
-    engine = _engine(run_alpha_cell, jobs, checkpoint_dir, resume,
-                     executor, progress)
-    return [
-        AlphaRow(alpha=alpha,
-                 rmi_ratio=parse_json_float(outcome["rmi_ratio"]),
-                 max_model_ratio=parse_json_float(
-                     outcome["max_model_ratio"]),
-                 exchanges=outcome["exchanges"])
-        for alpha, outcome in zip(alphas, engine.run(cells))
-    ]
 
 
 def format_alpha(rows: list[AlphaRow]) -> str:
@@ -443,7 +397,8 @@ ALLOCATION_DISTRIBUTIONS = ("uniform", "lognormal")
 def plan_allocation_cells(n_keys: int = 10_000, model_size: int = 500,
                           poisoning_percentage: float = 10.0,
                           seed: int = 29) -> list[Cell]:
-    """A5's plan: one cell per distribution."""
+    """A5's plan: one cell per distribution — the value of the
+    exchange loop over uniform initial budgets."""
     return [Cell.make("a5-allocation", n_keys=n_keys,
                       model_size=model_size,
                       poisoning_percentage=poisoning_percentage,
@@ -483,30 +438,6 @@ def run_allocation_cell(cell: Cell) -> dict[str, Any]:
     }
 
 
-def run_allocation_ablation(n_keys: int = 10_000, model_size: int = 500,
-                            poisoning_percentage: float = 10.0,
-                            seed: int = 29, jobs: int = 1,
-                            checkpoint_dir: str | Path | None = None,
-                            resume: bool = False,
-                            executor: str = "process",
-                            progress=None) -> list[AllocationRow]:
-    """A5: value of the exchange loop over uniform initial budgets."""
-    distributions = ALLOCATION_DISTRIBUTIONS
-    cells = plan_allocation_cells(n_keys, model_size,
-                                  poisoning_percentage, seed)
-    engine = _engine(run_allocation_cell, jobs, checkpoint_dir, resume,
-                     executor, progress)
-    return [
-        AllocationRow(
-            distribution=distribution,
-            uniform_ratio=parse_json_float(outcome["uniform_ratio"]),
-            greedy_ratio=parse_json_float(outcome["greedy_ratio"]),
-            improvement=parse_json_float(outcome["improvement"]))
-        for distribution, outcome in zip(distributions,
-                                         engine.run(cells))
-    ]
-
-
 def format_allocation(rows: list[AllocationRow]) -> str:
     """Table for A5."""
     body = [[r.distribution, format_ratio(r.uniform_ratio),
@@ -530,25 +461,18 @@ class DeletionRow:
     deletion_ratio: float
 
 
-def _ablation_keyset_and_budget(params: dict[str, Any]):
-    """Rebuild an A-series cell's shared keyset and its budget.
-
-    Every budget cell regenerates the identical keyset from the shared
-    seed, so per-percentage comparisons stay exact across workers.
-    """
-    rng = np.random.default_rng(params["seed"])
-    keyset = uniform_keyset(
-        params["n_keys"],
-        Domain.of_size(int(params["n_keys"] / params["density"])), rng)
-    budget = int(params["n_keys"] * params["percentage"] / 100.0)
-    return keyset, budget
-
-
 def plan_deletion_cells(n_keys: int = 1000, density: float = 0.1,
                         percentages: tuple[float, ...] = (5.0, 10.0,
                                                           20.0),
                         seed: int = 37) -> list[Cell]:
-    """A6's plan: one cell per budget percentage."""
+    """A6's plan: one cell per budget percentage.
+
+    How does removing keys compare to injecting them?  Both
+    adversaries get the same budget (p keys inserted vs p keys
+    deleted) against the same uniform keyset; every worker
+    regenerates that keyset from the shared seed, so the comparison
+    stays exact.
+    """
     return [Cell.make("a6-deletion", n_keys=n_keys, density=density,
                       percentage=pct, seed=seed)
             for pct in percentages]
@@ -558,38 +482,15 @@ def run_deletion_cell(cell: Cell) -> dict[str, Any]:
     """One A6 budget: insertion vs deletion on the shared keyset."""
     from ..core.deletion import greedy_delete
 
-    keyset, budget = _ablation_keyset_and_budget(cell.params_dict)
+    p = cell.params_dict
+    keyset, budget = _ablation_keyset_and_budget(p, p["percentage"])
     return {
         "insertion_ratio": greedy_poison(keyset, budget).ratio_loss,
         "deletion_ratio": greedy_delete(keyset, budget).ratio_loss,
     }
 
 
-def run_deletion_ablation(n_keys: int = 1000, density: float = 0.1,
-                          percentages: tuple[float, ...] = (5.0, 10.0, 20.0),
-                          seed: int = 37, jobs: int = 1,
-                          checkpoint_dir: str | Path | None = None,
-                          resume: bool = False,
-                          executor: str = "process",
-                          progress=None) -> list[DeletionRow]:
-    """A6: how does removing keys compare to injecting them?
-
-    Both adversaries get the same budget (p keys inserted vs p keys
-    deleted) against the same uniform keyset; every worker regenerates
-    that keyset from the shared seed, so the comparison stays exact.
-    """
-    cells = plan_deletion_cells(n_keys, density, percentages, seed)
-    engine = _engine(run_deletion_cell, jobs, checkpoint_dir, resume,
-                     executor, progress)
-    return [
-        DeletionRow(budget_percentage=pct,
-                    insertion_ratio=outcome["insertion_ratio"],
-                    deletion_ratio=outcome["deletion_ratio"])
-        for pct, outcome in zip(percentages, engine.run(cells))
-    ]
-
-
-def format_deletion(rows: list["DeletionRow"]) -> str:
+def format_deletion(rows: list[DeletionRow]) -> str:
     """Table for A6."""
     body = [[f"{r.budget_percentage:g}%", format_ratio(r.insertion_ratio),
              format_ratio(r.deletion_ratio)] for r in rows]
@@ -616,7 +517,15 @@ def plan_polynomial_cells(n_keys: int = 1000, density: float = 0.1,
                           poisoning_percentage: float = 10.0,
                           degrees: tuple[int, ...] = (1, 2, 3, 5),
                           seed: int = 41) -> list[Cell]:
-    """A7's plan: one cell per polynomial degree."""
+    """A7's plan: one cell per polynomial degree.
+
+    Does a more complex final-stage model blunt the attack?  Mount
+    the linear attack, then refit the poisoned keyset with polynomial
+    models of increasing degree and report the remaining ratio loss
+    next to the extra storage/compute each degree costs — the
+    trade-off Sec. VI says would "negatively affect the storage
+    overhead".
+    """
     return [Cell.make("a7-polynomial", n_keys=n_keys, density=density,
                       poisoning_percentage=poisoning_percentage,
                       degree=degree, seed=seed)
@@ -633,11 +542,8 @@ def run_polynomial_cell(cell: Cell) -> dict[str, Any]:
     from ..core.polynomial import fit_polynomial_cdf
 
     p = cell.params_dict
-    n_keys = p["n_keys"]
-    rng = np.random.default_rng(p["seed"])
-    keyset = uniform_keyset(
-        n_keys, Domain.of_size(int(n_keys / p["density"])), rng)
-    budget = int(n_keys * p["poisoning_percentage"] / 100.0)
+    keyset, budget = _ablation_keyset_and_budget(
+        p, p["poisoning_percentage"])
     attack = greedy_poison(keyset, budget)
     poisoned = keyset.insert(attack.poison_keys)
     clean_fit = fit_polynomial_cdf(keyset, p["degree"])
@@ -651,37 +557,7 @@ def run_polynomial_cell(cell: Cell) -> dict[str, Any]:
     }
 
 
-def run_polynomial_ablation(n_keys: int = 1000, density: float = 0.1,
-                            poisoning_percentage: float = 10.0,
-                            degrees: tuple[int, ...] = (1, 2, 3, 5),
-                            seed: int = 41, jobs: int = 1,
-                            checkpoint_dir: str | Path | None = None,
-                            resume: bool = False,
-                            executor: str = "process",
-                            progress=None) -> list[PolynomialRow]:
-    """A7: does a more complex final-stage model blunt the attack?
-
-    Mount the linear attack, then refit the poisoned keyset with
-    polynomial models of increasing degree and report the remaining
-    ratio loss next to the extra storage/compute each degree costs —
-    the trade-off Sec. VI says would "negatively affect the storage
-    overhead".
-    """
-    cells = plan_polynomial_cells(n_keys, density,
-                                  poisoning_percentage, degrees, seed)
-    engine = _engine(run_polynomial_cell, jobs, checkpoint_dir, resume,
-                     executor, progress)
-    return [
-        PolynomialRow(
-            degree=degree,
-            n_parameters=outcome["n_parameters"],
-            multiply_adds=outcome["multiply_adds"],
-            poisoned_ratio=parse_json_float(outcome["poisoned_ratio"]))
-        for degree, outcome in zip(degrees, engine.run(cells))
-    ]
-
-
-def format_polynomial(rows: list["PolynomialRow"]) -> str:
+def format_polynomial(rows: list[PolynomialRow]) -> str:
     """Table for A7."""
     body = [[r.degree, r.n_parameters, r.multiply_adds,
              format_ratio(r.poisoned_ratio)] for r in rows]
@@ -709,7 +585,19 @@ class BlackboxReport:
 def plan_blackbox_cells(n_keys: int = 5000, n_models: int = 25,
                         poisoning_percentage: float = 10.0,
                         seed: int = 43) -> list[Cell]:
-    """A8's plan: a single (extraction + two attacks) cell."""
+    """A8's plan: a single (extraction + two attacks) cell.
+
+    Infer the second stage by probing, then attack with it.  Probes
+    every stored key (the attacker contributed/knows the data under
+    the threat model; only the *model parameters* are hidden),
+    recovers each second-stage line, and mounts Algorithm 2 using the
+    recovered partition boundaries.  The paper's conjecture is that
+    the black-box gap is thin; the report quantifies it.
+
+    One (expensive) unit of work, so it runs as a single cell — like
+    A3, parallelism buys nothing but checkpoint/resume still lets an
+    interrupted ``all`` run skip it the second time.
+    """
     return [Cell.make("a8-blackbox", n_keys=n_keys, n_models=n_models,
                       poisoning_percentage=poisoning_percentage,
                       seed=seed)]
@@ -750,41 +638,9 @@ def run_blackbox_cell(cell: Cell) -> dict[str, Any]:
     }
 
 
-def run_blackbox_ablation(n_keys: int = 5000, n_models: int = 25,
-                          poisoning_percentage: float = 10.0,
-                          seed: int = 43, jobs: int = 1,
-                          checkpoint_dir: str | Path | None = None,
-                          resume: bool = False,
-                          executor: str = "process",
-                          progress=None) -> BlackboxReport:
-    """A8: infer the second stage by probing, then attack with it.
-
-    Probes every stored key (the attacker contributed/knows the data
-    under the threat model; only the *model parameters* are hidden),
-    recovers each second-stage line, and mounts Algorithm 2 using the
-    recovered partition boundaries.  The paper's conjecture is that
-    the black-box gap is thin; the report quantifies it.
-
-    One (expensive) unit of work, so it runs as a single cell — like
-    A3, parallelism buys nothing but checkpoint/resume still lets an
-    interrupted ``all`` run skip it the second time.
-    """
-    cells = plan_blackbox_cells(n_keys, n_models,
-                                poisoning_percentage, seed)
-    engine = _engine(run_blackbox_cell, jobs, checkpoint_dir, resume,
-                     executor, progress)
-    (outcome,) = engine.run(cells)
-    return BlackboxReport(
-        n_probes=outcome["n_probes"],
-        models_recovered=outcome["models_recovered"],
-        n_models=n_models,
-        max_slope_error=parse_json_float(outcome["max_slope_error"]),
-        whitebox_ratio=parse_json_float(outcome["whitebox_ratio"]),
-        blackbox_ratio=parse_json_float(outcome["blackbox_ratio"]))
-
-
-def format_blackbox(report: "BlackboxReport") -> str:
+def format_blackbox(reports: list[BlackboxReport]) -> str:
     """Table for A8."""
+    (report,) = reports
     rows = [
         ["probes issued", report.n_probes],
         ["models recovered",
@@ -815,7 +671,15 @@ class UpdateChannelReport:
 def plan_update_cells(n_keys: int = 2000, n_models: int = 20,
                       poisoning_percentage: float = 10.0,
                       seed: int = 47) -> list[Cell]:
-    """A9's plan: a single (static attack + live attack) cell."""
+    """A9's plan: a single (static attack + live attack) cell.
+
+    Does the update API reopen the pre-training attack surface?  Build
+    a dynamic index, poison it purely through ``insert`` calls, and
+    compare the post-retrain damage with the static Algorithm 2 attack
+    of equal budget.  Because retraining consumes the merged base +
+    buffer, the update channel stages the identical poisoned training
+    set — the attack surface never closed.
+    """
     return [Cell.make("a9-updates", n_keys=n_keys, n_models=n_models,
                       poisoning_percentage=poisoning_percentage,
                       seed=seed)]
@@ -853,36 +717,9 @@ def run_update_cell(cell: Cell) -> dict[str, Any]:
     }
 
 
-def run_update_ablation(n_keys: int = 2000, n_models: int = 20,
-                        poisoning_percentage: float = 10.0,
-                        seed: int = 47, jobs: int = 1,
-                        checkpoint_dir: str | Path | None = None,
-                        resume: bool = False,
-                        executor: str = "process",
-                        progress=None) -> UpdateChannelReport:
-    """A9: does the update API reopen the pre-training attack surface?
-
-    Build a dynamic index, poison it purely through ``insert`` calls,
-    and compare the post-retrain damage with the static Algorithm 2
-    attack of equal budget.  Because retraining consumes the merged
-    base + buffer, the update channel stages the identical poisoned
-    training set — the attack surface never closed.
-    """
-    cells = plan_update_cells(n_keys, n_models, poisoning_percentage,
-                              seed)
-    engine = _engine(run_update_cell, jobs, checkpoint_dir, resume,
-                     executor, progress)
-    (outcome,) = engine.run(cells)
-    return UpdateChannelReport(
-        static_ratio=parse_json_float(outcome["static_ratio"]),
-        update_ratio=parse_json_float(outcome["update_ratio"]),
-        retrains_triggered=outcome["retrains_triggered"],
-        clean_lookup_cost=outcome["clean_lookup_cost"],
-        poisoned_lookup_cost=outcome["poisoned_lookup_cost"])
-
-
-def format_update(report: "UpdateChannelReport") -> str:
+def format_update(reports: list[UpdateChannelReport]) -> str:
     """Table for A9."""
+    (report,) = reports
     rows = [
         ["static attack ratio", format_ratio(report.static_ratio)],
         ["update-channel attack ratio",
@@ -907,12 +744,7 @@ class RidgeRow:
     lam_fraction: float
     clean_mse: float
     poisoned_mse: float
-
-    @property
-    def poisoned_ratio(self) -> float:
-        if self.clean_mse == 0.0:
-            return float("inf") if self.poisoned_mse > 0 else 1.0
-        return self.poisoned_mse / self.clean_mse
+    poisoned_ratio: float
 
 
 def plan_ridge_cells(n_keys: int = 1000, density: float = 0.1,
@@ -920,7 +752,16 @@ def plan_ridge_cells(n_keys: int = 1000, density: float = 0.1,
                      lam_fractions: tuple[float, ...] = (
                          0.0, 0.01, 0.1, 0.5),
                      seed: int = 53) -> list[Cell]:
-    """A10's plan: one cell per shrinkage level."""
+    """A10's plan: one cell per shrinkage level.
+
+    Does L2 shrinkage blunt the poisoning?  The paper sets
+    regularisation aside because LIS queries are training data.  We
+    measure it anyway: for each penalty (as a fraction of the clean
+    key variance), fit ridge on the clean and on the poisoned keysets
+    and compare training errors.  Shrinking the slope mostly *adds*
+    clean error without removing poisoned error — the attack
+    manipulates ranks, not leverage points.
+    """
     return [Cell.make("a10-ridge", n_keys=n_keys, density=density,
                       poisoning_percentage=poisoning_percentage,
                       lam_fraction=fraction, seed=seed)
@@ -932,11 +773,8 @@ def run_ridge_cell(cell: Cell) -> dict[str, Any]:
     from ..core.cdf_regression import fit_ridge_cdf
 
     p = cell.params_dict
-    n_keys = p["n_keys"]
-    rng = np.random.default_rng(p["seed"])
-    keyset = uniform_keyset(
-        n_keys, Domain.of_size(int(n_keys / p["density"])), rng)
-    budget = int(n_keys * p["poisoning_percentage"] / 100.0)
+    keyset, budget = _ablation_keyset_and_budget(
+        p, p["poisoning_percentage"])
     attack = greedy_poison(keyset, budget)
     poisoned = keyset.insert(attack.poison_keys)
 
@@ -947,38 +785,16 @@ def run_ridge_cell(cell: Cell) -> dict[str, Any]:
     }
 
 
-def run_ridge_ablation(n_keys: int = 1000, density: float = 0.1,
-                       poisoning_percentage: float = 10.0,
-                       lam_fractions: tuple[float, ...] = (
-                           0.0, 0.01, 0.1, 0.5),
-                       seed: int = 53, jobs: int = 1,
-                       checkpoint_dir: str | Path | None = None,
-                       resume: bool = False,
-                       executor: str = "process",
-                       progress=None) -> list[RidgeRow]:
-    """A10: does L2 shrinkage blunt the poisoning?
-
-    The paper sets regularisation aside because LIS queries are
-    training data.  We measure it anyway: for each penalty (as a
-    fraction of the clean key variance), fit ridge on the clean and on
-    the poisoned keysets and compare training errors.  Shrinking the
-    slope mostly *adds* clean error without removing poisoned error —
-    the attack manipulates ranks, not leverage points.
-    """
-    cells = plan_ridge_cells(n_keys, density, poisoning_percentage,
-                             lam_fractions, seed)
-    engine = _engine(run_ridge_cell, jobs, checkpoint_dir, resume,
-                     executor, progress)
-    return [
-        RidgeRow(lam_fraction=fraction,
-                 clean_mse=outcome["clean_mse"],
-                 poisoned_mse=outcome["poisoned_mse"])
-        for fraction, outcome in zip(lam_fractions,
-                                     engine.run(cells))
-    ]
+def _ridge_rows(cell: Cell, result: dict[str, Any]) -> list[RidgeRow]:
+    """A10's row; the ratio derives from the two stored errors."""
+    clean, poisoned = result["clean_mse"], result["poisoned_mse"]
+    ratio = (poisoned / clean if clean != 0.0
+             else float("inf") if poisoned > 0 else 1.0)
+    return [_row(RidgeRow, {**cell.params_dict, **result,
+                            "poisoned_ratio": ratio})]
 
 
-def format_ridge(rows: list["RidgeRow"]) -> str:
+def format_ridge(rows: list[RidgeRow]) -> str:
     """Table for A10."""
     body = [[f"{r.lam_fraction:g}", f"{r.clean_mse:.2f}",
              f"{r.poisoned_mse:.2f}", format_ratio(r.poisoned_ratio)]
@@ -1007,7 +823,13 @@ def plan_adversary_cells(n_keys: int = 1000, density: float = 0.1,
                          percentages: tuple[float, ...] = (5.0, 10.0,
                                                            20.0),
                          seed: int = 59) -> list[Cell]:
-    """A11's plan: one cell per budget percentage."""
+    """A11's plan: one cell per budget percentage.
+
+    Insert vs delete vs modify at equal budget.  A modification
+    spends one budget unit on a delete + insert pair, so it matches
+    or beats pure insertion while leaving the key count untouched —
+    the stealthiest and often strongest adversary.
+    """
     return [Cell.make("a11-adversaries", n_keys=n_keys,
                       density=density, percentage=pct, seed=seed)
             for pct in percentages]
@@ -1018,7 +840,8 @@ def run_adversary_cell(cell: Cell) -> dict[str, Any]:
     from ..core.deletion import greedy_delete
     from ..core.modification import greedy_modify
 
-    keyset, budget = _ablation_keyset_and_budget(cell.params_dict)
+    p = cell.params_dict
+    keyset, budget = _ablation_keyset_and_budget(p, p["percentage"])
     return {
         "insertion_ratio": greedy_poison(keyset, budget).ratio_loss,
         "deletion_ratio": greedy_delete(keyset, budget).ratio_loss,
@@ -1026,33 +849,7 @@ def run_adversary_cell(cell: Cell) -> dict[str, Any]:
     }
 
 
-def run_adversary_comparison(n_keys: int = 1000, density: float = 0.1,
-                             percentages: tuple[float, ...] = (
-                                 5.0, 10.0, 20.0),
-                             seed: int = 59, jobs: int = 1,
-                             checkpoint_dir: str | Path | None = None,
-                             resume: bool = False,
-                             executor: str = "process",
-                             progress=None) -> list[AdversaryRow]:
-    """A11: insert vs delete vs modify at equal budget.
-
-    A modification spends one budget unit on a delete + insert pair,
-    so it matches or beats pure insertion while leaving the key count
-    untouched — the stealthiest and often strongest adversary.
-    """
-    cells = plan_adversary_cells(n_keys, density, percentages, seed)
-    engine = _engine(run_adversary_cell, jobs, checkpoint_dir, resume,
-                     executor, progress)
-    return [
-        AdversaryRow(budget_percentage=pct,
-                     insertion_ratio=outcome["insertion_ratio"],
-                     deletion_ratio=outcome["deletion_ratio"],
-                     modification_ratio=outcome["modification_ratio"])
-        for pct, outcome in zip(percentages, engine.run(cells))
-    ]
-
-
-def format_adversaries(rows: list["AdversaryRow"]) -> str:
+def format_adversaries(rows: list[AdversaryRow]) -> str:
     """Table for A11."""
     body = [[f"{r.budget_percentage:g}%",
              format_ratio(r.insertion_ratio),
@@ -1061,3 +858,87 @@ def format_adversaries(rows: list["AdversaryRow"]) -> str:
     return (section("A11 - insert vs delete vs modify adversaries")
             + "\n" + render_table(
                 ["budget", "insert", "delete", "modify"], body))
+
+
+# ----------------------------------------------------------------------
+# The registry
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TargetSpec:
+    """One A-series target.
+
+    ``plan`` builds the cells from keyword knobs (its defaults are the
+    CLI's grid), ``cell`` runs one cell, ``rows`` turns one cell's
+    result into its rows, and ``format`` renders the row list.  The
+    payload nests the rows under ``key``; ``None`` marks a single
+    flat report.
+    """
+
+    name: str
+    plan: Callable[..., list[Cell]]
+    cell: Callable[[Cell], "dict[str, Any] | CellOutput"]
+    rows: Callable[[Cell, dict[str, Any]], list[Any]]
+    format: Callable[[list[Any]], str]
+    key: str | None = "rows"
+
+
+ABLATIONS: dict[str, TargetSpec] = {spec.name: spec for spec in (
+    TargetSpec("a1-bruteforce", plan_bruteforce_cells, run_bruteforce_cell,
+               _same_names(BruteForceRow), format_bruteforce),
+    TargetSpec("a2-trim", plan_trim_cells, run_trim_cell, _trim_rows,
+               format_trim),
+    TargetSpec("a3-cost", plan_lookup_cost_cells, run_lookup_cost_cell,
+               _cost_rows, format_lookup_cost, key="reports"),
+    TargetSpec("a4-alpha", plan_alpha_cells, run_alpha_cell,
+               _same_names(AlphaRow), format_alpha),
+    TargetSpec("a5-allocation", plan_allocation_cells,
+               run_allocation_cell, _same_names(AllocationRow),
+               format_allocation),
+    TargetSpec("a6-deletion", plan_deletion_cells, run_deletion_cell,
+               _same_names(DeletionRow, budget_percentage="percentage"),
+               format_deletion),
+    TargetSpec("a7-polynomial", plan_polynomial_cells,
+               run_polynomial_cell, _same_names(PolynomialRow),
+               format_polynomial),
+    TargetSpec("a8-blackbox", plan_blackbox_cells, run_blackbox_cell,
+               _same_names(BlackboxReport), format_blackbox, key=None),
+    TargetSpec("a9-updates", plan_update_cells, run_update_cell,
+               _same_names(UpdateChannelReport), format_update,
+               key=None),
+    TargetSpec("a10-ridge", plan_ridge_cells, run_ridge_cell,
+               _ridge_rows, format_ridge),
+    TargetSpec("a11-adversaries", plan_adversary_cells,
+               run_adversary_cell,
+               _same_names(AdversaryRow, budget_percentage="percentage"),
+               format_adversaries),
+)}
+
+
+def run(name: str, *, jobs: int = 1,
+        checkpoint_dir: str | Path | None = None, resume: bool = False,
+        executor: str = "process", progress=None,
+        **knobs: Any) -> list[Any]:
+    """Sweep target ``name`` and return its rows in plan order.
+
+    ``knobs`` go to the target's plan builder; the runtime keywords go
+    to :func:`repro.runtime.sweep`.
+    """
+    spec = ABLATIONS[name]
+    plan = spec.plan(**knobs)
+    outputs = sweep(spec.cell, plan, name, jobs=jobs,
+                    checkpoint_dir=checkpoint_dir, resume=resume,
+                    executor=executor, progress=progress)
+    return [row for cell, output in zip(plan, outputs)
+            for row in spec.rows(cell, output.result)]
+
+
+def payload(name: str, rows: list[Any]) -> dict[str, Any]:
+    """Target ``name``'s CLI ``result`` payload: every row field
+    through :func:`json_float`."""
+    flat = [json_fields(row) for row in rows]
+    key = ABLATIONS[name].key
+    if key is None:
+        (report,) = flat
+        return report
+    return {key: flat}

@@ -15,27 +15,27 @@ class TestEngineParity:
 
     def test_a1_verdicts_stable_across_jobs(self):
         kwargs = dict(key_counts=(40, 80), density=0.1)
-        serial = ablations.run_bruteforce_equivalence(**kwargs)
-        threaded = ablations.run_bruteforce_equivalence(
-            **kwargs, jobs=2, executor="thread")
+        serial = ablations.run("a1-bruteforce", **kwargs)
+        threaded = ablations.run(
+            "a1-bruteforce", **kwargs, jobs=2, executor="thread")
         for a, b in zip(serial, threaded):
             assert (a.n_keys, a.domain_size, a.same_key) == (
                 b.n_keys, b.domain_size, b.same_key)
 
     def test_a2_jobs_and_executor_parity(self):
         kwargs = dict(n_keys=300, percentages=(10.0, 20.0))
-        serial = ablations.run_trim_defense(**kwargs)
+        serial = ablations.run("a2-trim", **kwargs)
         for executor in ("process", "thread"):
-            parallel = ablations.run_trim_defense(
-                **kwargs, jobs=2, executor=executor)
+            parallel = ablations.run(
+                "a2-trim", **kwargs, jobs=2, executor=executor)
             assert parallel == serial
 
     def test_a2_checkpoint_persists_poison_artifacts(self, tmp_path):
         kwargs = dict(n_keys=300, percentages=(10.0, 20.0))
-        first = ablations.run_trim_defense(
-            **kwargs, checkpoint_dir=tmp_path)
-        resumed = ablations.run_trim_defense(
-            **kwargs, checkpoint_dir=tmp_path, resume=True, jobs=2)
+        first = ablations.run(
+            "a2-trim", **kwargs, checkpoint_dir=tmp_path)
+        resumed = ablations.run(
+            "a2-trim", **kwargs, checkpoint_dir=tmp_path, resume=True, jobs=2)
         assert resumed == first
         store = CheckpointStore(tmp_path)
         npz_files = list(store.cells_dir.glob("*.npz"))
@@ -43,31 +43,31 @@ class TestEngineParity:
 
     def test_a3_single_cell_resume(self, tmp_path):
         kwargs = dict(n_keys=2000, model_size=200)
-        first = ablations.run_lookup_cost(
-            **kwargs, checkpoint_dir=tmp_path)
-        resumed = ablations.run_lookup_cost(
-            **kwargs, checkpoint_dir=tmp_path, resume=True)
+        first = ablations.run(
+            "a3-cost", **kwargs, checkpoint_dir=tmp_path)
+        resumed = ablations.run(
+            "a3-cost", **kwargs, checkpoint_dir=tmp_path, resume=True)
         assert resumed == first
 
     def test_a4_jobs_parity(self):
         kwargs = dict(n_keys=1000, model_size=100, alphas=(1.0, 3.0))
-        serial = ablations.run_alpha_sweep(**kwargs)
-        parallel = ablations.run_alpha_sweep(**kwargs, jobs=2)
+        serial = ablations.run("a4-alpha", **kwargs)
+        parallel = ablations.run("a4-alpha", **kwargs, jobs=2)
         assert parallel == serial
 
     def test_a5_jobs_parity(self):
         kwargs = dict(n_keys=1000, model_size=100)
-        serial = ablations.run_allocation_ablation(**kwargs)
-        parallel = ablations.run_allocation_ablation(
-            **kwargs, jobs=2, executor="thread")
+        serial = ablations.run("a5-allocation", **kwargs)
+        parallel = ablations.run(
+            "a5-allocation", **kwargs, jobs=2, executor="thread")
         assert parallel == serial
 
 
 class TestA1BruteForce:
     @pytest.fixture(scope="class")
     def rows(self):
-        return ablations.run_bruteforce_equivalence(
-            key_counts=(40, 80), density=0.1)
+        return ablations.run(
+            "a1-bruteforce", key_counts=(40, 80), density=0.1)
 
     def test_always_matches(self, rows):
         assert all(r.same_key for r in rows)
@@ -84,8 +84,8 @@ class TestA1BruteForce:
 class TestA2Trim:
     @pytest.fixture(scope="class")
     def rows(self):
-        return ablations.run_trim_defense(
-            n_keys=300, percentages=(10.0, 20.0))
+        return ablations.run(
+            "a2-trim", n_keys=300, percentages=(10.0, 20.0))
 
     def test_both_variants_present(self, rows):
         variants = {r.variant for r in rows}
@@ -108,7 +108,7 @@ class TestA2Trim:
 class TestA3LookupCost:
     @pytest.fixture(scope="class")
     def reports(self):
-        return ablations.run_lookup_cost(n_keys=4000, model_size=200,
+        return ablations.run("a3-cost", n_keys=4000, model_size=200,
                                          poisoning_percentage=10.0)
 
     def test_three_structures(self, reports):
@@ -127,8 +127,8 @@ class TestA3LookupCost:
 class TestA4Alpha:
     @pytest.fixture(scope="class")
     def rows(self):
-        return ablations.run_alpha_sweep(
-            n_keys=2000, model_size=200,
+        return ablations.run(
+            "a4-alpha", n_keys=2000, model_size=200,
             alphas=(1.0, 3.0))
 
     def test_alpha_one_no_exchanges(self, rows):
@@ -146,8 +146,8 @@ class TestA4Alpha:
 class TestA5Allocation:
     @pytest.fixture(scope="class")
     def rows(self):
-        return ablations.run_allocation_ablation(
-            n_keys=2000, model_size=200)
+        return ablations.run(
+            "a5-allocation", n_keys=2000, model_size=200)
 
     def test_two_distributions(self, rows):
         assert {r.distribution for r in rows} == {"uniform", "lognormal"}
@@ -164,8 +164,8 @@ class TestA5Allocation:
 class TestA6Deletion:
     @pytest.fixture(scope="class")
     def rows(self):
-        return ablations.run_deletion_ablation(
-            n_keys=300, percentages=(10.0, 20.0))
+        return ablations.run(
+            "a6-deletion", n_keys=300, percentages=(10.0, 20.0))
 
     def test_both_adversaries_do_damage(self, rows):
         for r in rows:
@@ -183,8 +183,8 @@ class TestA6Deletion:
 class TestA7Polynomial:
     @pytest.fixture(scope="class")
     def rows(self):
-        return ablations.run_polynomial_ablation(
-            n_keys=400, degrees=(1, 3))
+        return ablations.run(
+            "a7-polynomial", n_keys=400, degrees=(1, 3))
 
     def test_capacity_absorbs_loss(self, rows):
         assert rows[-1].poisoned_ratio < rows[0].poisoned_ratio
@@ -200,8 +200,9 @@ class TestA7Polynomial:
 class TestA8Blackbox:
     @pytest.fixture(scope="class")
     def report(self):
-        return ablations.run_blackbox_ablation(
-            n_keys=1000, n_models=10)
+        (report,) = ablations.run(
+            "a8-blackbox", n_keys=1000, n_models=10)
+        return report
 
     def test_full_recovery(self, report):
         assert report.models_recovered == report.n_models
@@ -212,15 +213,16 @@ class TestA8Blackbox:
             report.whitebox_ratio)
 
     def test_format(self, report):
-        out = ablations.format_blackbox(report)
+        out = ablations.format_blackbox([report])
         assert "black-box" in out
 
 
 class TestA9Updates:
     @pytest.fixture(scope="class")
     def report(self):
-        return ablations.run_update_ablation(
-            n_keys=1000, n_models=10)
+        (report,) = ablations.run(
+            "a9-updates", n_keys=1000, n_models=10)
+        return report
 
     def test_update_channel_matches_static(self, report):
         assert report.update_ratio == pytest.approx(
@@ -233,15 +235,15 @@ class TestA9Updates:
         assert report.poisoned_lookup_cost > report.clean_lookup_cost
 
     def test_format(self, report):
-        out = ablations.format_update(report)
+        out = ablations.format_update([report])
         assert "update channel" in out
 
 
 class TestA10Ridge:
     @pytest.fixture(scope="class")
     def rows(self):
-        return ablations.run_ridge_ablation(
-            n_keys=400, lam_fractions=(0.0, 0.1))
+        return ablations.run(
+            "a10-ridge", n_keys=400, lam_fractions=(0.0, 0.1))
 
     def test_unregularised_baseline_hurts_most(self, rows):
         assert rows[0].poisoned_ratio > rows[1].poisoned_ratio
@@ -257,8 +259,8 @@ class TestA10Ridge:
 class TestA11Adversaries:
     @pytest.fixture(scope="class")
     def rows(self):
-        return ablations.run_adversary_comparison(
-            n_keys=300, percentages=(10.0, 20.0))
+        return ablations.run(
+            "a11-adversaries", n_keys=300, percentages=(10.0, 20.0))
 
     def test_all_adversaries_effective(self, rows):
         for r in rows:
@@ -288,13 +290,13 @@ class TestEngineBackedA7toA10:
 
     def test_polynomial_checkpoint_resume(self, tmp_path):
         kwargs = dict(n_keys=300, degrees=(1, 2))
-        first = ablations.run_polynomial_ablation(
-            checkpoint_dir=tmp_path, **kwargs)
+        first = ablations.run(
+            "a7-polynomial", checkpoint_dir=tmp_path, **kwargs)
         cells = list((tmp_path / "cells").glob("a7-polynomial-*.json"))
         assert len(cells) == 2
         stamps = {p.name: p.stat().st_mtime_ns for p in cells}
-        resumed = ablations.run_polynomial_ablation(
-            checkpoint_dir=tmp_path, resume=True, **kwargs)
+        resumed = ablations.run(
+            "a7-polynomial", checkpoint_dir=tmp_path, resume=True, **kwargs)
         assert resumed == first
         after = {p.name: p.stat().st_mtime_ns
                  for p in (tmp_path / "cells").glob(
@@ -303,23 +305,23 @@ class TestEngineBackedA7toA10:
 
     def test_ridge_jobs_parity(self):
         kwargs = dict(n_keys=300, lam_fractions=(0.0, 0.1))
-        serial = ablations.run_ridge_ablation(**kwargs)
-        threaded = ablations.run_ridge_ablation(
-            jobs=2, executor="thread", **kwargs)
+        serial = ablations.run("a10-ridge", **kwargs)
+        threaded = ablations.run(
+            "a10-ridge", jobs=2, executor="thread", **kwargs)
         assert serial == threaded
 
     def test_update_checkpoint_resume(self, tmp_path):
         kwargs = dict(n_keys=500, n_models=5)
-        first = ablations.run_update_ablation(
-            checkpoint_dir=tmp_path, **kwargs)
-        resumed = ablations.run_update_ablation(
-            checkpoint_dir=tmp_path, resume=True, **kwargs)
+        first = ablations.run(
+            "a9-updates", checkpoint_dir=tmp_path, **kwargs)
+        resumed = ablations.run(
+            "a9-updates", checkpoint_dir=tmp_path, resume=True, **kwargs)
         assert resumed == first
 
     def test_blackbox_checkpoint_resume(self, tmp_path):
         kwargs = dict(n_keys=500, n_models=5)
-        first = ablations.run_blackbox_ablation(
-            checkpoint_dir=tmp_path, **kwargs)
-        resumed = ablations.run_blackbox_ablation(
-            checkpoint_dir=tmp_path, resume=True, **kwargs)
+        first = ablations.run(
+            "a8-blackbox", checkpoint_dir=tmp_path, **kwargs)
+        resumed = ablations.run(
+            "a8-blackbox", checkpoint_dir=tmp_path, resume=True, **kwargs)
         assert resumed == first

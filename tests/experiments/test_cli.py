@@ -56,6 +56,20 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["fig5", "--executor", "fiber"])
 
+    @pytest.mark.parametrize("flags", [
+        ["--transport", "process"],
+        ["--transport", "process", "--replicas", "3"],
+    ], ids=["transport", "replicas"])
+    @pytest.mark.parametrize("target", ["fig2", "fig5", "a2-trim"])
+    def test_serving_flags_rejected_off_cluster(self, target, flags,
+                                                capsys):
+        """Only cluster and ablate serve shards; elsewhere a
+        non-default --transport/--replicas is a parser error that
+        names the flag instead of being silently ignored."""
+        with pytest.raises(SystemExit):
+            main([target, *flags])
+        assert flags[-2] in capsys.readouterr().err
+
 
 def _validate_summary_schema(payload: dict) -> None:
     """The contract external plotting tools rely on (result/v2)."""
