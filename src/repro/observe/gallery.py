@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .. import io
-from ..contracts import validate_result
+from ..contracts import ContractViolation, validate_result
 from . import figures, trajectory
 
 __all__ = [
@@ -167,16 +167,19 @@ def render_result_gallery(target_dir: "str | Path",
 
     The document is validated against the declared
     ``repro.experiments.result/v2`` contract before anything is read
-    from it — unknown or missing keys raise
-    :class:`~repro.contracts.ContractViolation` instead of surfacing
-    as a KeyError three readers later.  Unknown *targets* render an
-    empty list (no figures dir) — the ``report`` CLI walks every
-    result.json under ``--out`` and only the targets with a figure
-    recipe produce galleries.
+    from it — unknown or missing keys, and a torn file that is not
+    JSON at all, raise :class:`~repro.contracts.ContractViolation`
+    naming the file instead of surfacing as a KeyError three readers
+    later.  Unknown *targets* render an empty list (no figures dir) —
+    the ``report`` CLI walks every result.json under ``--out`` and
+    only the targets with a figure recipe produce galleries.
     """
     target_dir = Path(target_dir)
-    payload = validate_result(
-        json.loads((target_dir / "result.json").read_text()))
+    path = target_dir / "result.json"
+    try:
+        payload = validate_result(json.loads(path.read_text()))
+    except ValueError as exc:  # malformed JSON or a ContractViolation
+        raise ContractViolation(f"{path.as_posix()}: {exc}") from exc
     target = payload["target"]
     if target not in ("closedloop", "cluster", "workload", "ablate"):
         return []

@@ -171,7 +171,14 @@ class TestGalleryContents:
         target_dir.mkdir()
         io.save_json({"target": "fig5", "artifacts": []},
                      target_dir / "result.json")
-        with pytest.raises(ContractViolation, match="schema"):
+        with pytest.raises(ContractViolation,
+                           match="fig5/result.json: .*schema"):
+            gallery.render_result_gallery(target_dir)
+        # A torn write: the document ends mid-key.
+        (target_dir / "result.json").write_text(
+            '{"schema": "repro.experiments.result/v2", "tar')
+        with pytest.raises(ContractViolation,
+                           match="fig5/result.json: .*line 1 column"):
             gallery.render_result_gallery(target_dir)
 
     def test_render_out_tree_walks_every_target(self, tmp_path):
