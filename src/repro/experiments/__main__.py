@@ -13,8 +13,9 @@ The target table is built, not hand-written: one entry per
 :data:`repro.experiments.ablations.ABLATIONS` spec, one per grid
 module with ``quick_config``/``full_config``/``run``/``plan_cells``
 (fig6, fig7, closedloop), and one per regression sweep (fig5, fig8).
-Only ``workload``, ``cluster`` and ``ablate`` keep their own
-functions, because each reads something only it needs.
+Only ``workload`` (its ``BENCH_workload.json`` side file),
+``cluster`` (transport and the replica duel) and ``ablate``
+(``--components``) keep their own functions.
 
 ``--profile quick`` (default, ``--quick`` is an alias) runs the
 scaled-down configurations; ``--profile full`` runs the larger grids

@@ -76,8 +76,8 @@ def _row(row_type: type, values: dict[str, Any]) -> Any:
     ``json_float`` sentinels a cell stores for inf/nan.
     """
     return row_type(**{
-        f.name: (parse_json_float(values[f.name]) if f.type == "float"
-                 else values[f.name])
+        f.name: (parse_json_float(values[f.name])
+                 if f.type in (float, "float") else values[f.name])
         for f in fields(row_type)})
 
 

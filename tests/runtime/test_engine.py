@@ -5,10 +5,18 @@ Cell runners live at module level so worker processes can unpickle
 them by name.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from repro.runtime import Cell, CellOutput, CheckpointStore, SweepEngine
+from repro.runtime import (
+    Cell,
+    CellOutput,
+    CheckpointStore,
+    SweepEngine,
+    sweep,
+)
 
 
 def square_cell(cell: Cell) -> dict:
@@ -76,6 +84,32 @@ class TestSerialExecution:
     def test_resume_requires_store(self):
         with pytest.raises(ValueError):
             SweepEngine(square_cell, resume=True)
+
+
+@dataclass(frozen=True)
+class _Grid:
+    n: int = 3
+    xs: tuple[int, ...] = (0, 1, 2)
+
+
+class TestSweep:
+    """``sweep``: the one path every experiment takes to the engine."""
+
+    def test_manifest_records_experiment_and_config(self, tmp_path):
+        outputs = sweep(artifact_cell, plan(3), "squares", _Grid(),
+                        checkpoint_dir=tmp_path)
+        assert [o.result["value"] for o in outputs] == [0, 1, 4]
+        assert outputs[2].arrays["trace"].tolist() == [0, 1, 2]
+        manifest = CheckpointStore(tmp_path).read_manifest()
+        assert manifest["experiment"] == "squares"
+        assert manifest["config"] == {"n": 3, "xs": [0, 1, 2]}
+
+    def test_without_config_the_manifest_names_the_experiment(
+            self, tmp_path):
+        sweep(square_cell, plan(2), "a2-trim", checkpoint_dir=tmp_path)
+        manifest = CheckpointStore(tmp_path).read_manifest()
+        assert "config" not in manifest
+        assert manifest["experiment"] == "a2-trim"
 
 
 class TestParallelExecution:
