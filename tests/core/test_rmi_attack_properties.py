@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from repro.core import RMIAttackerCapability, fit_cdf_regression, poison_rmi
 from repro.data import Domain, KeySet
+from rmi_oracle import literal_poison_rmi
 
 
 @st.composite
-def attack_scenarios(draw):
+def attack_scenarios(draw, min_models=1, max_models=None):
     """Random (keyset, n_models, capability) triples that are valid."""
     n_keys = draw(st.integers(min_value=40, max_value=200))
     spread = draw(st.integers(min_value=4, max_value=40))
@@ -18,7 +19,10 @@ def attack_scenarios(draw):
     rng = np.random.default_rng(seed)
     keys = rng.choice(n_keys * spread, size=n_keys, replace=False)
     keyset = KeySet(keys, Domain(0, n_keys * spread))
-    n_models = draw(st.integers(min_value=1, max_value=max(1, n_keys // 10)))
+    most = max(1, n_keys // 10)
+    if max_models is not None:
+        most = min(most, max_models)
+    n_models = draw(st.integers(min_value=min_models, max_value=most))
     percentage = draw(st.sampled_from([5.0, 10.0, 20.0]))
     alpha = draw(st.sampled_from([2.0, 3.0, 5.0]))
     capability = RMIAttackerCapability(poisoning_percentage=percentage,
@@ -88,3 +92,34 @@ def test_rmi_attack_full_refit_consistency(scenario):
         refit = fit_cdf_regression(part.insert(in_part)).mse
         assert report.loss_after == pytest.approx(refit, rel=1e-6,
                                                   abs=1e-9)
+
+
+@given(attack_scenarios(min_models=2, max_models=8),
+       st.integers(min_value=0, max_value=12))
+@settings(max_examples=60, deadline=None)
+def test_rmi_attack_matches_the_literal_algorithm(scenario, max_exchanges):
+    """The CHANGELOSS bookkeeping changes no choice Algorithm 2 makes.
+
+    The oracle rebuilds every entry from materialised partitions at
+    each step, so any entry the production loop keeps too long (or a
+    kept result that differs from a fresh run) shows as a different
+    exchange count, allocation or poison key.
+    """
+    keyset, n_models, capability = scenario
+    try:
+        result = poison_rmi(keyset, n_models, capability,
+                            max_exchanges=max_exchanges)
+    except ValueError:
+        return
+    literal = literal_poison_rmi(keyset, n_models, capability,
+                                 max_exchanges=max_exchanges)
+    assert result.exchanges == literal.exchanges
+    assert np.array_equal(result.poison_keys, literal.poison_keys)
+    assert len(result.reports) == n_models
+    for report, keys, budget, outcome in zip(
+            result.reports, literal.partitions, literal.budgets,
+            literal.results):
+        assert report.budget == budget
+        assert report.n_keys == keys.size
+        assert report.n_injected == outcome.n_injected
+        assert report.loss_after == outcome.loss_after
