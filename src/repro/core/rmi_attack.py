@@ -23,10 +23,15 @@ raises the RMI loss ``L_RMI = mean_i L_i``:
 
 Pairing the budget move with the opposite key move keeps every
 partition's total population (legitimate + poisoning) fixed, which is
-what lets the exchange evade volume-based anomaly detection.  Each
-applied exchange invalidates only the CHANGELOSS entries of the two
-touched models and their direct neighbours (six entries), so the loop
-costs O(n / N) per step after the initial table build.
+what lets the exchange evade volume-based anomaly detection.
+
+CHANGELOSS is the table of every exchange's loss change.  Beside each
+entry it keeps the two hypothetical Algorithm-1 results behind it, so
+the table holds O(N) results.  Applying an exchange runs nothing: its
+two results become the touched models' results.  It changes only the
+six entries of the pairs that touch those models, and a refresh
+re-runs Algorithm 1 only for the sides whose partition or budget
+changed, typically six runs per applied exchange.
 
 A poisoning key injected into partition ``i`` shifts the *global*
 ranks of all later partitions by one — but a uniform rank shift is
@@ -39,6 +44,7 @@ decomposition exact; it is tested in ``tests/core/test_rmi_attack.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,18 +125,6 @@ class RMIAttackResult:
         return int(self.poison_keys.size)
 
 
-class _PartitionState:
-    """Mutable attack state of one second-stage model."""
-
-    __slots__ = ("keys", "budget", "result")
-
-    def __init__(self, keys: np.ndarray, budget: int,
-                 result: GreedyResult):
-        self.keys = keys
-        self.budget = budget
-        self.result = result
-
-
 def _run_partition(keys: np.ndarray, budget: int) -> GreedyResult:
     """Key allocation: Algorithm 1 on one partition with local ranks.
 
@@ -185,40 +179,42 @@ def poison_rmi(keyset: KeySet, n_models: int,
     if max_exchanges is None:
         max_exchanges = 10 * n_models
 
-    partitions = [p.keys.copy() for p in keyset.partition(n_models)]
-    budgets = _initial_budgets(total_budget, n_models, threshold)
+    # Partition m holds keys[bounds[m]:bounds[m + 1]]; exchanges only
+    # ever move a boundary, so every partition stays a contiguous slice.
+    keys = keyset.keys
+    parts = keyset.partition(n_models)
+    bounds = np.cumsum([0] + [part.n for part in parts]).tolist()
+    budgets = [int(b) for b in
+               _initial_budgets(total_budget, n_models, threshold)]
 
     # Clean per-model baseline: the MSE of each second-stage model on
     # the *original* equal-size partition.  Exchanges later shift a few
     # boundary keys between neighbouring partitions, but the ratio the
     # paper reports is always against the un-attacked index.
-    clean_losses = [fit_cdf_regression(KeySet(keys)).mse
-                    for keys in partitions]
+    clean_losses = [fit_cdf_regression(part).mse for part in parts]
 
-    states = [
-        _PartitionState(keys, int(budget), _run_partition(keys, int(budget)))
-        for keys, budget in zip(partitions, budgets)
-    ]
+    results = [_run_partition(keys[start:end], budget)
+               for start, end, budget in zip(bounds, bounds[1:], budgets)]
 
     n_pairs = n_models - 1
     exchanges = 0
     if n_pairs > 0 and max_exchanges > 0 and total_budget > 0:
         exchanges = _greedy_volume_allocation(
-            states, threshold, capability.epsilon, max_exchanges)
+            keys, bounds, budgets, results, threshold,
+            capability.epsilon, max_exchanges)
 
     reports = []
     poison: list[np.ndarray] = []
-    for index, state in enumerate(states):
-        clean = clean_losses[index]
+    for index, result in enumerate(results):
         reports.append(ModelPoisonReport(
             model_index=index,
-            n_keys=int(state.keys.size),
-            budget=state.budget,
-            n_injected=state.result.n_injected,
-            loss_before=clean,
-            loss_after=state.result.loss_after))
-        if state.result.n_injected:
-            poison.append(state.result.poison_keys)
+            n_keys=bounds[index + 1] - bounds[index],
+            budget=budgets[index],
+            n_injected=result.n_injected,
+            loss_before=clean_losses[index],
+            loss_after=result.loss_after))
+        if result.n_injected:
+            poison.append(result.poison_keys)
     all_poison = (np.sort(np.concatenate(poison)) if poison
                   else np.empty(0, dtype=np.int64))
     return RMIAttackResult(
@@ -232,96 +228,92 @@ def poison_rmi(keyset: KeySet, n_models: int,
 # Greedy volume allocation internals
 # ----------------------------------------------------------------------
 
-def _exchange_outcome(states: list[_PartitionState], i: int,
-                      forward: bool, threshold: int
-                      ) -> tuple[float, GreedyResult, GreedyResult] | None:
-    """Simulate the exchange between models ``i`` and ``i+1``.
+class _Partition(NamedTuple):
+    """A hypothetical partition: ``keys[start:end]`` with ``budget``."""
+
+    start: int
+    end: int
+    budget: int
+
+
+def _exchange(bounds: list[int], budgets: list[int], i: int,
+              forward: bool, threshold: int
+              ) -> tuple[_Partition, _Partition] | None:
+    """The partitions ``i`` and ``i+1`` an exchange between them makes.
 
     ``forward`` is the paper's ``i -> i+1`` (budget right, smallest
-    key of ``i+1`` left); otherwise ``i <- i+1``.  Returns the change
-    in ``sum_i L_i`` and the two hypothetical partition results, or
-    ``None`` when the move is infeasible (budget or threshold).
+    key of ``i+1`` left); otherwise ``i <- i+1``.  Returns ``None``
+    when the move is infeasible: the donor has no budget, the receiver
+    would pass the threshold, or the key giver would be left empty.
     """
-    left, right = states[i], states[i + 1]
-    if forward:
-        donor, receiver = left, right
-    else:
-        donor, receiver = right, left
-    if donor.budget < 1 or receiver.budget + 1 > threshold:
-        return None
-
-    if forward:
-        if right.keys.size < 2:
+    step = 1 if forward else -1
+    left = _Partition(bounds[i], bounds[i + 1] + step, budgets[i] - step)
+    right = _Partition(left.end, bounds[i + 2], budgets[i + 1] + step)
+    for part in (left, right):
+        if part.start >= part.end or not 0 <= part.budget <= threshold:
             return None
-        new_left_keys = np.append(left.keys, right.keys[0])
-        new_right_keys = right.keys[1:]
-        new_left_budget, new_right_budget = left.budget - 1, right.budget + 1
-    else:
-        if left.keys.size < 2:
-            return None
-        new_left_keys = left.keys[:-1]
-        new_right_keys = np.concatenate([left.keys[-1:], right.keys])
-        new_left_budget, new_right_budget = left.budget + 1, right.budget - 1
-
-    new_left = _run_partition(new_left_keys, new_left_budget)
-    new_right = _run_partition(new_right_keys, new_right_budget)
-    delta = (new_left.loss_after + new_right.loss_after
-             - left.result.loss_after - right.result.loss_after)
-    return delta, new_left, new_right
+    return left, right
 
 
-def _greedy_volume_allocation(states: list[_PartitionState],
+def _greedy_volume_allocation(keys: np.ndarray, bounds: list[int],
+                              budgets: list[int],
+                              results: list[GreedyResult],
                               threshold: int, epsilon: float,
                               max_exchanges: int) -> int:
-    """The CHANGELOSS loop of Algorithm 2; returns exchanges applied."""
-    n_pairs = len(states) - 1
-    # fwd[i] / bwd[i] cache the delta of exchanging i -> i+1 / i <- i+1;
-    # NaN marks an infeasible move.  The hypothetical partition results
-    # are recomputed on application, keeping memory at O(N).
-    fwd = np.full(n_pairs, np.nan)
-    bwd = np.full(n_pairs, np.nan)
+    """The CHANGELOSS loop of Algorithm 2; returns exchanges applied.
+
+    Updates ``bounds``, ``budgets`` and ``results`` in place.
+    """
+    n_pairs = len(results) - 1
+    # gain[forward][i] caches the change in sum_i L_i of exchanging
+    # i -> i+1 (forward) or i <- i+1; NaN marks an infeasible move.
+    # kept[forward][i] holds the (partition, result) pair of each side
+    # behind that entry.  Algorithm 1 is deterministic, so a side whose
+    # partition is unchanged keeps its result.
+    gain = {forward: np.full(n_pairs, np.nan) for forward in (True, False)}
+    kept: dict[bool, list[list[tuple[_Partition, GreedyResult] | None]]] = {
+        forward: [[None, None] for _ in range(n_pairs)]
+        for forward in (True, False)}
 
     def refresh(i: int) -> None:
-        for arr, forward in ((fwd, True), (bwd, False)):
-            outcome = _exchange_outcome(states, i, forward, threshold)
-            arr[i] = np.nan if outcome is None else outcome[0]
+        for forward in (True, False):
+            parts = _exchange(bounds, budgets, i, forward, threshold)
+            if parts is None:
+                gain[forward][i] = np.nan
+                continue
+            sides = kept[forward][i]
+            for side, part in enumerate(parts):
+                if sides[side] is None or sides[side][0] != part:
+                    sides[side] = part, _run_partition(
+                        keys[part.start:part.end], part.budget)
+            gain[forward][i] = (sides[0][1].loss_after
+                                + sides[1][1].loss_after
+                                - results[i].loss_after
+                                - results[i + 1].loss_after)
 
     for i in range(n_pairs):
         refresh(i)
 
     exchanges = 0
     while exchanges < max_exchanges:
+        fwd, bwd = gain[True], gain[False]
         best_fwd = np.nanmax(fwd) if not np.all(np.isnan(fwd)) else -np.inf
         best_bwd = np.nanmax(bwd) if not np.all(np.isnan(bwd)) else -np.inf
         best = max(best_fwd, best_bwd)
         if not np.isfinite(best) or best <= epsilon:
             break
-        forward = best_fwd >= best_bwd
-        i = int(np.nanargmax(fwd if forward else bwd))
+        forward = bool(best_fwd >= best_bwd)
+        i = int(np.nanargmax(gain[forward]))
 
-        outcome = _exchange_outcome(states, i, forward, threshold)
-        if outcome is None:  # cache went stale; refresh and retry
-            refresh(i)
-            continue
-        delta, new_left, new_right = outcome
-        if delta <= epsilon:
-            refresh(i)
-            continue
-
-        left, right = states[i], states[i + 1]
-        if forward:
-            left.keys = np.append(left.keys, right.keys[0])
-            right.keys = right.keys[1:]
-            left.budget -= 1
-            right.budget += 1
-        else:
-            moved = left.keys[-1:]
-            left.keys = left.keys[:-1]
-            right.keys = np.concatenate([moved, right.keys])
-            left.budget += 1
-            right.budget -= 1
-        left.result = new_left
-        right.result = new_right
+        # The reverse move undoes this one, so its sides are exactly
+        # the partitions being replaced.
+        (left, left_result), (right, right_result) = kept[forward][i]
+        kept[not forward][i] = [
+            (_Partition(bounds[m], bounds[m + 1], budgets[m]), results[m])
+            for m in (i, i + 1)]
+        bounds[i + 1] = left.end
+        budgets[i], budgets[i + 1] = left.budget, right.budget
+        results[i], results[i + 1] = left_result, right_result
         exchanges += 1
 
         # Only entries touching partitions i-1, i, i+1, i+2 changed.

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.rmi_attack as rmi_attack
 from repro.core import (
     RMIAttackerCapability,
     fit_cdf_regression,
@@ -105,6 +106,34 @@ class TestAttackEffect:
             global_losses.append(fit_cdf_regression(keys, ranks).mse)
         local_losses = [r.loss_after for r in result.reports]
         assert np.allclose(global_losses, local_losses, rtol=1e-7)
+
+
+class TestAlgorithm1Runs:
+    def test_an_applied_exchange_reruns_only_changed_sides(
+            self, keyset, capability, monkeypatch):
+        """The CHANGELOSS table keeps the results behind each entry.
+
+        The initial table costs ``N`` runs for the uniform allocation
+        and ``4(N-1)`` for the entries; an applied exchange then
+        re-runs Algorithm 1 for the changed side of each of the six
+        refreshed entries, so six runs, never the kept ones.  Counting
+        through the module attribute also pins that every run looks
+        ``greedy_poison`` up at call time.
+        """
+        calls = []
+        real = rmi_attack.greedy_poison
+
+        def counting(local, budget, *args, **kwargs):
+            calls.append(budget)
+            return real(local, budget, *args, **kwargs)
+
+        monkeypatch.setattr(rmi_attack, "greedy_poison", counting)
+        n_models = 10
+        result = poison_rmi(keyset, n_models, capability)
+        assert result.exchanges > 0
+        assert calls
+        assert len(calls) <= (n_models + 4 * (n_models - 1)
+                              + 6 * result.exchanges)
 
 
 class TestResultAggregates:
