@@ -13,7 +13,8 @@ pickled Python objects.  Three layers:
   seq`` header + packed body); a version mismatch or an unknown code
   fails loudly on either side, and a worker-side exception comes back
   as an ERR frame the client re-raises as :class:`ShardWorkerError`
-  with the shard id attached;
+  naming the shard and replica; a reply the client cannot parse is a
+  :class:`ProtocolError` naming the shard, replica and message;
 * **worker** — :func:`shard_worker_main`, the per-process serve loop
   (build backend from a build spec, then dispatch until SHUTDOWN or
   the parent hangs up), shaped after the per-round server loop of
@@ -62,6 +63,7 @@ from ..contracts import (
     PROTOCOL_VERSION,
     REPLY_ERR,
     REPLY_OK,
+    REQUEST_CODES,
     ContractViolation,
 )
 from ..runtime.cell import stable_seed_words
@@ -81,6 +83,7 @@ __all__ = [
 # importers use.
 
 _STATS = struct.Struct("<qqqqddd")
+_REQUEST_NAMES = {code: name for name, code in REQUEST_CODES.items()}
 
 
 class ProtocolError(ContractViolation):
@@ -89,7 +92,8 @@ class ProtocolError(ContractViolation):
 
 class ShardWorkerError(RuntimeError):
     """A worker's dispatch raised; re-raised router-side with the
-    shard id attached so the failing range is identifiable."""
+    shard id attached (and the replica named in the message) so the
+    failing range is identifiable."""
 
     def __init__(self, shard: int, message: str):
         super().__init__(f"shard {shard} worker: {message}")
@@ -586,7 +590,8 @@ class WorkerClient:
                 f"{self._process.exitcode}")) from exc
         if code != REPLY_OK:
             self.close()
-            raise ShardWorkerError(self._shard, body.decode())
+            raise ShardWorkerError(
+                self._shard, f"replica {self._replica}: {body.decode()}")
 
     @property
     def shard(self) -> int:
@@ -601,7 +606,20 @@ class WorkerClient:
             raise TimeoutError(
                 f"shard {self._shard} replica {self._replica}: no "
                 f"reply within {timeout}s")
-        return _parse_frame(self._conn.recv_bytes())
+        raw = self._conn.recv_bytes()
+        try:
+            return _parse_frame(raw)
+        except ProtocolError as exc:
+            raise ProtocolError(
+                f"shard {self._shard} replica {self._replica}: "
+                f"{exc}") from exc
+
+    def _malformed(self, code: int, exc: Exception) -> ProtocolError:
+        """A reply body that does not decode (say, one shorter than its
+        own length prefix), named by its slot and message."""
+        return ProtocolError(
+            f"shard {self._shard} replica {self._replica}: malformed "
+            f"{_REQUEST_NAMES[code]} reply: {exc}")
 
     def call(self, code: int, body: bytes = b"") -> bytes:
         book = self._book
@@ -634,11 +652,13 @@ class WorkerClient:
                                 time.perf_counter() - rpc_started)
                 metrics.inc("transport.calls")
             if rcode == REPLY_ERR:
-                raise ShardWorkerError(self._shard, rbody.decode())
+                raise ShardWorkerError(
+                    self._shard,
+                    f"replica {self._replica}: {rbody.decode()}")
             if rseq != seq:
                 raise ProtocolError(
-                    f"shard {self._shard}: reply seq {rseq} != "
-                    f"request seq {seq}")
+                    f"shard {self._shard} replica {self._replica}: "
+                    f"reply seq {rseq} != request seq {seq}")
             return rbody
         book.mark_dead(self._shard, self._replica)
         self.close()
@@ -657,8 +677,11 @@ class WorkerClient:
         body = self.call(MSG_REPLAY, payload)
         started = (time.perf_counter()
                    if metrics is not None else 0.0)
-        found, off = _unpack_bool(body, 0)
-        probes, _ = _unpack_i64(body, off)
+        try:
+            found, off = _unpack_bool(body, 0)
+            probes, _ = _unpack_i64(body, off)
+        except (ValueError, struct.error) as exc:
+            raise self._malformed(MSG_REPLAY, exc) from exc
         if metrics is not None:
             metrics.observe("transport.decode",
                             time.perf_counter() - started)
@@ -676,8 +699,11 @@ class WorkerClient:
         body = self.call(MSG_LOOKUP, payload)
         started = (time.perf_counter()
                    if metrics is not None else 0.0)
-        found, off = _unpack_bool(body, 0)
-        probes, _ = _unpack_i64(body, off)
+        try:
+            found, off = _unpack_bool(body, 0)
+            probes, _ = _unpack_i64(body, off)
+        except (ValueError, struct.error) as exc:
+            raise self._malformed(MSG_LOOKUP, exc) from exc
         if metrics is not None:
             metrics.observe("transport.decode",
                             time.perf_counter() - started)
@@ -691,13 +717,24 @@ class WorkerClient:
 
     def range_scan(self, lo: int, hi: int) -> int:
         body = self.call(MSG_RANGE, struct.pack("<qq", lo, hi))
-        return int(struct.unpack("<q", body)[0])
+        try:
+            return int(struct.unpack("<q", body)[0])
+        except struct.error as exc:
+            raise self._malformed(MSG_RANGE, exc) from exc
 
     def stats(self) -> WorkerStats:
-        return WorkerStats.unpack(self.call(MSG_STATS))
+        body = self.call(MSG_STATS)
+        try:
+            return WorkerStats.unpack(body)
+        except struct.error as exc:
+            raise self._malformed(MSG_STATS, exc) from exc
 
     def live_keys(self) -> np.ndarray:
-        keys, _ = _unpack_i64(self.call(MSG_LIVE_KEYS), 0)
+        body = self.call(MSG_LIVE_KEYS)
+        try:
+            keys, _ = _unpack_i64(body, 0)
+        except (ValueError, struct.error) as exc:
+            raise self._malformed(MSG_LIVE_KEYS, exc) from exc
         return keys
 
     def set_trim_keep_fraction(self, keep: "float | None") -> None:
