@@ -590,8 +590,9 @@ class WorkerClient:
                 f"{self._process.exitcode}")) from exc
         if code != REPLY_OK:
             self.close()
-            raise ShardWorkerError(
-                self._shard, f"replica {self._replica}: {body.decode()}")
+            raise ShardWorkerError(self._shard, (
+                f"replica {self._replica}: "
+                f"{body.decode(errors='replace')}"))
 
     @property
     def shard(self) -> int:
@@ -620,6 +621,25 @@ class WorkerClient:
         return ProtocolError(
             f"shard {self._shard} replica {self._replica}: malformed "
             f"{_REQUEST_NAMES[code]} reply: {exc}")
+
+    def _columns(self, code: int, body: bytes, n: int | None = None,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """The found and probes columns of a REPLAY or LOOKUP reply:
+        equally long (``n`` long, when given), ending the body."""
+        try:
+            found, off = _unpack_bool(body, 0)
+            probes, end = _unpack_i64(body, off)
+            if end != len(body):
+                raise ValueError(f"{len(body) - end} bytes after the "
+                                 "probes column")
+            if found.size != probes.size:
+                raise ValueError(f"{found.size} found flags but "
+                                 f"{probes.size} probe counts")
+            if n is not None and found.size != n:
+                raise ValueError(f"{found.size} results for {n} keys")
+        except (ValueError, struct.error) as exc:
+            raise self._malformed(code, exc) from exc
+        return found, probes
 
     def call(self, code: int, body: bytes = b"") -> bytes:
         book = self._book
@@ -654,7 +674,8 @@ class WorkerClient:
             if rcode == REPLY_ERR:
                 raise ShardWorkerError(
                     self._shard,
-                    f"replica {self._replica}: {rbody.decode()}")
+                    f"replica {self._replica}: "
+                    f"{rbody.decode(errors='replace')}")
             if rseq != seq:
                 raise ProtocolError(
                     f"shard {self._shard} replica {self._replica}: "
@@ -677,11 +698,7 @@ class WorkerClient:
         body = self.call(MSG_REPLAY, payload)
         started = (time.perf_counter()
                    if metrics is not None else 0.0)
-        try:
-            found, off = _unpack_bool(body, 0)
-            probes, _ = _unpack_i64(body, off)
-        except (ValueError, struct.error) as exc:
-            raise self._malformed(MSG_REPLAY, exc) from exc
+        found, probes = self._columns(MSG_REPLAY, body)
         if metrics is not None:
             metrics.observe("transport.decode",
                             time.perf_counter() - started)
@@ -699,11 +716,7 @@ class WorkerClient:
         body = self.call(MSG_LOOKUP, payload)
         started = (time.perf_counter()
                    if metrics is not None else 0.0)
-        try:
-            found, off = _unpack_bool(body, 0)
-            probes, _ = _unpack_i64(body, off)
-        except (ValueError, struct.error) as exc:
-            raise self._malformed(MSG_LOOKUP, exc) from exc
+        found, probes = self._columns(MSG_LOOKUP, body, len(keys))
         if metrics is not None:
             metrics.observe("transport.decode",
                             time.perf_counter() - started)
@@ -732,7 +745,9 @@ class WorkerClient:
     def live_keys(self) -> np.ndarray:
         body = self.call(MSG_LIVE_KEYS)
         try:
-            keys, _ = _unpack_i64(body, 0)
+            keys, end = _unpack_i64(body, 0)
+            if end != len(body):
+                raise ValueError(f"{len(body) - end} bytes after the keys")
         except (ValueError, struct.error) as exc:
             raise self._malformed(MSG_LIVE_KEYS, exc) from exc
         return keys
@@ -748,7 +763,11 @@ class WorkerClient:
         self.call(MSG_REBUILD)
 
     def digest(self) -> str:
-        return self.call(MSG_DIGEST).decode()
+        body = self.call(MSG_DIGEST)
+        try:
+            return body.decode()
+        except UnicodeDecodeError as exc:
+            raise self._malformed(MSG_DIGEST, exc) from exc
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:

@@ -17,6 +17,7 @@ from repro.cluster import (
     WorkerClient,
 )
 from repro.cluster.transport import (
+    REPLY_ERR,
     REPLY_OK,
     ProtocolError,
     WorkerStats,
@@ -108,6 +109,50 @@ def test_truncated_body_names_slot_and_message(client, monkeypatch, call,
     assert isinstance(err.value.__cause__, (ValueError, struct.error))
 
 
+TWO = np.asarray([10, 12], dtype=np.int64)
+
+
+@pytest.mark.parametrize("call, body, message", (
+    # a well-formed 2-key reply followed by junk
+    (lambda c: c.lookup(TWO),
+     _pack_bool(np.ones(2, bool)) + _pack_i64(np.arange(2)) + b"junk",
+     "MSG_LOOKUP"),
+    # three found flags against two probe counts
+    (lambda c: c.lookup(TWO),
+     _pack_bool(np.ones(3, bool)) + _pack_i64(np.arange(2)),
+     "MSG_LOOKUP"),
+    # one result for two keys
+    (lambda c: c.lookup(TWO),
+     _pack_bool(np.ones(1, bool)) + _pack_i64(np.arange(1)),
+     "MSG_LOOKUP"),
+    (lambda c: c.replay(np.zeros(2, np.int8), TWO, np.zeros(2, np.int64)),
+     _pack_bool(np.ones(2, bool)) + _pack_i64(np.arange(2)) + b"junk",
+     "MSG_REPLAY"),
+    (lambda c: c.replay(np.zeros(2, np.int8), TWO, np.zeros(2, np.int64)),
+     _pack_bool(np.ones(3, bool)) + _pack_i64(np.arange(2)),
+     "MSG_REPLAY"),
+    (lambda c: c.live_keys(), _pack_i64(np.arange(3)) + b"junk",
+     "MSG_LIVE_KEYS"),
+    (lambda c: c.digest(), b"\xff\xfe", "MSG_DIGEST"),
+), ids=("lookup-trailing", "lookup-unequal", "lookup-short",
+        "replay-trailing", "replay-unequal", "live_keys-trailing",
+        "digest-not-utf8"))
+def test_inconsistent_body_names_slot_and_message(client, monkeypatch,
+                                                  call, body, message):
+    monkeypatch.setattr(client, "_conn", StubPipe(ok_body(body)))
+    with pytest.raises(ProtocolError,
+                       match=SLOT + f"malformed {message} reply: "):
+        call(client)
+
+
+def test_undecodable_worker_error_names_the_replica(client, monkeypatch):
+    monkeypatch.setattr(client, "_conn", StubPipe(
+        lambda seq: _frame(REPLY_ERR, seq, b"\xff\xfe")))
+    with pytest.raises(ShardWorkerError,
+                       match=r"^shard 2 worker: replica 1: "):
+        client.stats()
+
+
 def test_worker_error_names_the_replica(client):
     unknown_op = np.asarray([99], dtype=np.int8)
     with pytest.raises(ShardWorkerError,
@@ -123,3 +168,40 @@ def test_build_error_names_the_replica():
         WorkerClient(TransportBook(TransportConfig()), 2, 1,
                      "no-such-backend", 0.1, {}, KEYS,
                      ctx=spawn_context())
+
+
+class StubContext:
+    """A spawn context whose worker never runs: the client's end of
+    the pipe already holds ``handshake``."""
+
+    def __init__(self, handshake: bytes):
+        self._handshake = handshake
+
+    def Pipe(self):
+        pipe = StubPipe(lambda seq: _frame(REPLY_OK, seq))
+        pipe._pending.append(self._handshake)
+        return pipe, StubPipe(None)
+
+    def Process(self, **kwargs):
+        return StubProcess()
+
+
+class StubProcess:
+    exitcode = None
+
+    def start(self):
+        pass
+
+    def join(self, timeout=None):
+        pass
+
+    def is_alive(self):
+        return False
+
+
+def test_undecodable_build_error_names_the_replica():
+    with pytest.raises(ShardWorkerError,
+                       match=r"^shard 2 worker: replica 1: "):
+        WorkerClient(TransportBook(TransportConfig()), 2, 1, "binary",
+                     0.1, {}, KEYS,
+                     ctx=StubContext(_frame(REPLY_ERR, 0, b"\xff\xfe")))
