@@ -92,7 +92,12 @@ class TestA2Trim:
         assert variants == {"classic", "rank-aware"}
 
     def test_attack_worked_before_defense(self, rows):
-        assert all(r.attack_ratio > 1.5 for r in rows)
+        assert all(r.attack_ratio > 2.0 for r in rows)
+
+    def test_defense_is_imperfect(self, rows):
+        # Section VI: TRIM either misses poison keys or leaves
+        # residual loss, in at least one configuration.
+        assert any(r.recall < 1.0 or r.residual_ratio > 2.0 for r in rows)
 
     def test_metrics_in_range(self, rows):
         for r in rows:
@@ -118,6 +123,11 @@ class TestA3LookupCost:
         by_label = {r.structure: r for r in reports}
         assert (by_label["rmi (poisoned)"].mean_cost
                 > by_label["rmi (clean)"].mean_cost)
+
+    def test_clean_rmi_beats_btree(self, reports):
+        by_label = {r.structure: r for r in reports}
+        assert (by_label["rmi (clean)"].mean_cost
+                < by_label["btree (clean)"].mean_cost)
 
     def test_format(self, reports):
         out = ablations.format_lookup_cost(reports)
@@ -174,6 +184,7 @@ class TestA6Deletion:
 
     def test_damage_grows_with_budget(self, rows):
         assert rows[-1].deletion_ratio > rows[0].deletion_ratio
+        assert rows[-1].insertion_ratio > rows[0].insertion_ratio
 
     def test_format(self, rows):
         out = ablations.format_deletion(rows)
@@ -191,6 +202,11 @@ class TestA7Polynomial:
 
     def test_costs_reported(self, rows):
         assert rows[-1].n_parameters > rows[0].n_parameters
+        assert rows[-1].multiply_adds > rows[0].multiply_adds
+
+    def test_degree_five_leaves_multi_x_damage(self):
+        rows = ablations.run("a7-polynomial", n_keys=1000, degrees=(1, 5))
+        assert 2.0 < rows[-1].poisoned_ratio < rows[0].poisoned_ratio
 
     def test_format(self, rows):
         out = ablations.format_polynomial(rows)
@@ -209,8 +225,7 @@ class TestA8Blackbox:
         assert report.max_slope_error < 1e-9
 
     def test_attack_parity(self, report):
-        assert report.blackbox_ratio == pytest.approx(
-            report.whitebox_ratio)
+        assert report.blackbox_ratio == report.whitebox_ratio
 
     def test_format(self, report):
         out = ablations.format_blackbox([report])
@@ -226,7 +241,7 @@ class TestA9Updates:
 
     def test_update_channel_matches_static(self, report):
         assert report.update_ratio == pytest.approx(
-            report.static_ratio)
+            report.static_ratio, rel=1e-9)
 
     def test_retrain_happened(self, report):
         assert report.retrains_triggered >= 1
@@ -251,6 +266,18 @@ class TestA10Ridge:
     def test_shrinkage_costs_clean_accuracy(self, rows):
         assert rows[1].clean_mse > rows[0].clean_mse
 
+    def test_poisoned_loss_barely_moves(self, rows):
+        assert rows[1].poisoned_mse > 0.5 * rows[0].poisoned_mse
+
+    def test_heavy_shrinkage_prepays_the_damage(self):
+        # At half the key variance the ratio falls only because the
+        # clean loss explodes.
+        rows = ablations.run("a10-ridge", n_keys=1000,
+                             lam_fractions=(0.0, 0.5))
+        assert rows[1].poisoned_ratio < rows[0].poisoned_ratio
+        assert rows[1].clean_mse > 10 * rows[0].clean_mse
+        assert rows[1].poisoned_mse > 0.5 * rows[0].poisoned_mse
+
     def test_format(self, rows):
         out = ablations.format_ridge(rows)
         assert "ridge" in out
@@ -271,6 +298,7 @@ class TestA11Adversaries:
     def test_modification_competitive(self, rows):
         for r in rows:
             assert r.modification_ratio >= 0.8 * r.insertion_ratio
+        assert rows[-1].modification_ratio > rows[0].modification_ratio
 
     def test_format(self, rows):
         out = ablations.format_adversaries(rows)

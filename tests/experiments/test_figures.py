@@ -8,7 +8,9 @@ from repro.experiments import (
     fig3_loss_landscape,
     fig4_greedy_showcase,
     fig6_rmi_synthetic,
+    fig5_config,
     fig7_rmi_realworld,
+    fig8_config,
     run_sweep,
 )
 from repro.experiments.regression_sweep import SweepConfig
@@ -86,6 +88,12 @@ class TestSweep:
             assert (cell.summaries[14.0].median
                     > cell.summaries[5.0].median)
 
+    def test_sparse_cells_beat_dense_cells(self, small_sweep):
+        """The paper's row-wise observation at a fixed key count."""
+        by_density = {c.density: c for c in small_sweep.cells}
+        assert (by_density[0.1].summaries[14.0].median
+                > by_density[0.8].summaries[14.0].median)
+
     def test_ratios_at_least_one(self, small_sweep):
         for cell in small_sweep.cells:
             for summary in cell.summaries.values():
@@ -112,6 +120,18 @@ class TestSweep:
             n_trials=3)
         result = run_sweep(config)
         assert result.cells[0].summaries[10.0].median >= 1.0
+
+    def test_normal_keys_cap_the_attack(self):
+        """Fig. 8's point at the quick profile: on normal keys the
+        sparsest large cell's ratio stays below Fig. 5's."""
+        def headline(sweep):
+            largest = max(c.n_keys for c in sweep.cells)
+            cell = next(c for c in sweep.cells
+                        if c.n_keys == largest and c.density == 0.1)
+            return cell.summaries[14.0].median
+        fig8 = run_sweep(fig8_config("quick"))
+        assert all(c.summaries[14.0].median >= 1.0 for c in fig8.cells)
+        assert headline(fig8) < headline(run_sweep(fig5_config("quick")))
 
 
 class TestFig6:

@@ -62,6 +62,12 @@ class TestPolynomialStorage:
         with pytest.raises(ValueError):
             polynomial_stage_storage(10, 0)
 
+    def test_cubic_stage_outweighs_the_rmi(self, keyset):
+        """Sec. VI's hardening spends the learned index's memory win."""
+        rmi = RecursiveModelIndex.build_equal_size(keyset, 100)
+        assert (polynomial_stage_storage(100, 3).total_bytes
+                > rmi_storage(rmi).total_bytes)
+
     def test_sec6_tradeoff_quantified(self):
         """Hardening with degree 3 costs ~1.6x the stage storage."""
         linear = polynomial_stage_storage(1000, 1)
