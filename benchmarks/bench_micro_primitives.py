@@ -17,14 +17,14 @@ from repro.index import BTree, RecursiveModelIndex
 @pytest.fixture(scope="module")
 def keyset_1k():
     return uniform_keyset(1_000, Domain(0, 9_999),
-                          # repro: allow[REP001] -- bench corpus seed is pinned by the committed BENCH_workload.json trajectory
+                          # repro: allow[REP001] -- a fixed corpus keeps rounds and runs comparable
                           np.random.default_rng(0))
 
 
 @pytest.fixture(scope="module")
 def keyset_10k():
     return uniform_keyset(10_000, Domain(0, 99_999),
-                          # repro: allow[REP001] -- bench corpus seed is pinned by the committed BENCH_workload.json trajectory
+                          # repro: allow[REP001] -- a fixed corpus keeps rounds and runs comparable
                           np.random.default_rng(0))
 
 

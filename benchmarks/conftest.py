@@ -1,13 +1,10 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the pytest-benchmark scripts.
 
-Each ``bench_fig*.py`` regenerates one figure of the paper: it runs
-the corresponding :mod:`repro.experiments` module once under
-pytest-benchmark (``rounds=1`` — these are experiments, not
-microbenchmarks) and prints the paper-comparable tables.  Run with::
+``once`` times a whole experiment a single time (``rounds=1``) rather
+than pytest-benchmark's many rounds; ``bench_runner_scaling.py`` uses
+it for its jobs ladder.  Run with::
 
     pytest benchmarks/ --benchmark-only -s
-
-The printed blocks are the rows recorded in EXPERIMENTS.md.
 """
 
 from __future__ import annotations

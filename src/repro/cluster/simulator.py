@@ -57,8 +57,7 @@ analogue of PR 4's same-world timing duels.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -133,8 +132,7 @@ class ClusterReport:
     ``series`` holds the 1D cluster channels; ``tenant_series`` and
     ``shard_series`` hold the 2D ones (``ticks × tenants`` and
     ``ticks × max-shards``, the latter NaN-padded where a tick had
-    fewer shards).  ``wall_seconds`` is the only non-deterministic
-    field and stays out of :meth:`to_dict`.
+    fewer shards).
     """
 
     backend: str
@@ -170,7 +168,6 @@ class ClusterReport:
     # divergence detector flagged as poisoned.
     degraded_ticks: int
     flagged_replicas: int
-    wall_seconds: float = field(compare=False)
 
     @property
     def n_ticks(self) -> int:
@@ -533,7 +530,6 @@ class ClusterSimulator:
     def run(self) -> ClusterReport:
         """Replay the whole trace; returns the metrics report."""
         trace, router, spec = self._trace, self._router, self._spec
-        started = time.perf_counter()
         initial_digest = router.shard_map.digest
         baselines = np.asarray(
             [self._sample_cost(t) for t in range(self._n_tenants)])
@@ -730,6 +726,4 @@ class ClusterSimulator:
             degraded_ticks=int(np.count_nonzero(
                 np.asarray(series["degraded"]) > 0)),
             flagged_replicas=(int(series["flagged"][-1])
-                              if series["flagged"] else 0),
-            # repro: allow[REP003] -- wall_seconds is an advisory stats field, never compared or digested
-            wall_seconds=time.perf_counter() - started)
+                              if series["flagged"] else 0))

@@ -5,10 +5,9 @@ objects with a ``format()`` method that prints paper-comparable
 tables.  The A-series ablations are one registry instead:
 :data:`ablations.ABLATIONS` holds a spec per target, and
 ``ablations.run(name, **knobs)`` returns its rows.  Every sweep
-reaches the engine through :func:`repro.runtime.sweep`.  The
-benchmarks under ``benchmarks/`` are thin wrappers that time these
-runs and print the tables; ``python -m repro.experiments <name>`` runs
-one directly, from a target table built out of the same registry.
+reaches the engine through :func:`repro.runtime.sweep`.
+``python -m repro.experiments <name>`` runs one, from a target table
+built out of the same registry.
 """
 
 from . import (

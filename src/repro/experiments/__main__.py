@@ -12,21 +12,15 @@ streaming serving grid:
 The target table is built, not hand-written: one entry per
 :data:`repro.experiments.ablations.ABLATIONS` spec, one per grid
 module with ``quick_config``/``full_config``/``run``/``plan_cells``
-(fig6, fig7, closedloop), and one per regression sweep (fig5, fig8).
-Only ``workload`` (its ``BENCH_workload.json`` side file),
-``cluster`` (transport and the replica duel) and ``ablate``
-(``--components``) keep their own functions.
+(fig6, fig7, workload, closedloop), and one per regression sweep
+(fig5, fig8).  Only ``cluster`` (transport and the replica duel) and
+``ablate`` (``--components``) keep their own functions.
 
 ``--profile quick`` (default, ``--quick`` is an alias) runs the
-scaled-down configurations; ``--profile full`` runs the larger grids
-recorded in EXPERIMENTS.md.
+scaled-down configurations; ``--profile full`` runs the larger grids.
 
 ``workload`` replays streaming scenarios (query mixes × poison
-schedules × index backends) through the serving simulator; with
-``--out`` it also writes ``BENCH_workload.json``
-(``repro.bench.workload/v1``) next to its ``result.json`` — the
-wall-clock perf-trajectory record, deliberately separate from the
-deterministic result payload.
+schedules × index backends) through the serving simulator.
 
 ``closedloop`` runs the control-loop grids (arrival models ×
 backends × injection policies × fixed/tuned defense) — the
@@ -86,8 +80,7 @@ Targets that are not sweeps ignore ``--jobs``/``--executor``/
 
 The ``report`` pseudo-target runs nothing: with ``--out DIR`` it
 renders deterministic SVG figure galleries from every
-``DIR/<target>/result.json`` already on disk (plus the bench
-trajectory sparkline when ``benchmarks/trajectory/`` exists) — see
+``DIR/<target>/result.json`` already on disk — see
 :mod:`repro.observe.gallery`.
 
 Result schema (``repro.experiments.result/v2``)
@@ -122,7 +115,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
@@ -144,8 +136,6 @@ from . import (
 )
 from .regression_sweep import fig5_config, fig8_config, run_sweep
 from .regression_sweep import plan_cells as plan_regression
-
-BENCH_SCHEMA = "repro.bench.workload/v1"
 
 
 @dataclass(frozen=True)
@@ -235,54 +225,6 @@ def _ablation(name: str) -> Target:
     return target
 
 
-def _run_workload(opts: RunOptions) -> TargetOutput:
-    """The streaming serving grid, plus the perf-trajectory record.
-
-    When ``--out`` is given, a ``BENCH_workload.json`` lands next to
-    ``result.json``: the only place wall-clock enters the pipeline.
-    The result payload itself stays deterministic (probe-count
-    metrics), which is what the jobs-parity CI check compares.
-    """
-    config = _profile_config(workload_serving, opts)
-    started = time.perf_counter()
-    result = workload_serving.run(config,
-                                  **opts.engine_kwargs("workload"))
-    wall = time.perf_counter() - started
-    if opts.out is not None:
-        out_dir = opts.checkpoint_dir("workload")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        by_backend: dict[str, list[Any]] = {}
-        for row in result.rows:
-            by_backend.setdefault(row.backend, []).append(row)
-        io.save_json({
-            "schema": BENCH_SCHEMA,
-            "profile": opts.profile,
-            "jobs": opts.jobs,
-            "executor": opts.executor,
-            "serving": {
-                "cells": len(result.rows),
-                "ops_per_cell": config.n_ops,
-                "wall_seconds": wall,
-                "cells_per_second": (len(result.rows) / wall
-                                     if wall > 0 else 0.0),
-                "backends": {
-                    name: {
-                        "mean_probes": io.json_float(
-                            sum(r.mean_probes for r in rows)
-                            / len(rows)),
-                        "worst_p99": io.json_float(
-                            max(r.p99 for r in rows)),
-                        "worst_amplification": io.json_float(
-                            max(r.amplification for r in rows)),
-                    }
-                    for name, rows in by_backend.items()
-                },
-            },
-        }, out_dir / "BENCH_workload.json")
-    return (result.format(), result.to_dict(),
-            workload_serving.plan_cells(config))
-
-
 def _run_cluster(opts: RunOptions) -> TargetOutput:
     """The sharded grid; ``--transport process`` runs it over worker
     processes (bit-identical numbers — the parity contract), and with
@@ -342,7 +284,7 @@ _TARGETS: dict[str, Target] = {
     "fig6": _grid("fig6", fig6_rmi_synthetic),
     "fig7": _grid("fig7", fig7_rmi_realworld),
     "fig8": _regression("fig8", fig8_config),
-    "workload": _run_workload,
+    "workload": _grid("workload", workload_serving),
     "closedloop": _grid("closedloop", closedloop_serving),
     "cluster": _run_cluster,
     "ablate": _run_ablate,

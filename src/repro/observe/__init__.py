@@ -1,7 +1,6 @@
-"""Observability: metrics/trace instrumentation, figure galleries,
-and the bench-trajectory store.
+"""Observability: metrics/trace instrumentation and figure galleries.
 
-Three pillars (ISSUE 8):
+Two pillars:
 
 * :mod:`repro.observe.metrics` — a deterministic
   :class:`MetricsRegistry` (counters, gauges, timing histograms) and
@@ -15,9 +14,6 @@ Three pillars (ISSUE 8):
   dependency-free byte-deterministic SVG renderer and the ``report``
   CLI target that turns result.json + artifact manifests into
   committed figure galleries.
-* :mod:`repro.observe.trajectory` — the append-only
-  ``benchmarks/trajectory/`` store of per-PR bench snapshots behind
-  the ``--trajectory`` gate.
 """
 
 from .metrics import (

@@ -1,7 +1,7 @@
 """Dependency-free deterministic SVG figures.
 
 No matplotlib in this environment, and no need for it: every figure
-the galleries render is a line chart, a heatmap, or a sparkline over
+the galleries render is a line chart, a heatmap, or a bar chart over
 small per-tick arrays.  Each builder returns the SVG as a string
 built from fixed-precision formatted floats with sorted, hand-ordered
 attributes and no timestamps — identical inputs yield byte-identical
@@ -26,7 +26,6 @@ __all__ = [
     "bar_figure",
     "heatmap_figure",
     "line_figure",
-    "sparkline_figure",
 ]
 
 #: Matplotlib's tab10 hues, hard-coded so the renderer stays
@@ -302,39 +301,3 @@ def bar_figure(title: str,
     body.append(_text(width - _MARGIN_RIGHT, y_cursor + 12,
                       f"hi {_label(hi)}", size=9, anchor="end"))
     return _document(width, int(y_cursor + 22), body)
-
-
-def sparkline_figure(title: str,
-                     rows: Sequence[tuple[str, np.ndarray]], *,
-                     width: int = 520, row_height: int = 34) -> str:
-    """Small-multiple sparklines, one labelled row per series.
-
-    The trajectory gallery uses this for ops/s-over-PRs: each row is
-    a ``section/backend`` line with its latest value printed at the
-    right edge.
-    """
-    label_w = 190
-    value_w = 84
-    x0 = float(label_w)
-    plot_w = width - label_w - value_w
-    body: list[str] = [_text(10, 17, title, size=13)]
-    y_cursor = float(_TITLE_H)
-    for idx, (label, values) in enumerate(rows):
-        values = np.asarray(values, dtype=np.float64)
-        color = PALETTE[idx % len(PALETTE)]
-        mid = y_cursor + row_height / 2
-        body.append(_text(x0 - 6, mid + 4, label, size=10,
-                          anchor="end"))
-        lo, hi = _finite_range([values])
-        body.append(_rect(x0, y_cursor + 4, plot_w, row_height - 8,
-                          _BG, stroke=_FRAME))
-        for segment in _series_segments(values, x0, plot_w,
-                                        y_cursor + 6, row_height - 12,
-                                        lo, hi):
-            body.append(_polyline(segment, color))
-        finite = values[np.isfinite(values)]
-        latest = _label(float(finite[-1])) if finite.size else "-"
-        body.append(_text(width - 6, mid + 4, latest, size=10,
-                          anchor="end", fill=color))
-        y_cursor += row_height
-    return _document(width, int(y_cursor + 8), body)

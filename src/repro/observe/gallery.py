@@ -29,12 +29,11 @@ import numpy as np
 
 from .. import io
 from ..contracts import ContractViolation, validate_result
-from . import figures, trajectory
+from . import figures
 
 __all__ = [
     "render_out_tree",
     "render_result_gallery",
-    "trajectory_figure",
 ]
 
 
@@ -213,37 +212,10 @@ def render_result_gallery(target_dir: "str | Path",
         figures_dir / name for name, _ in index]
 
 
-def trajectory_figure(store_dir: "str | Path" = trajectory.DEFAULT_STORE,
-                      ) -> "str | None":
-    """Ops/s-over-PRs sparkline SVG, or None on an empty store."""
-    series = trajectory.ops_series(store_dir)
-    if not series:
-        return None
-    n = len(trajectory.list_snapshots(store_dir))
-    rows = [(lane, np.asarray(values, dtype=np.float64))
-            for lane, values in sorted(series.items())]
-    return figures.sparkline_figure(
-        f"bench trajectory — ops/s over {n} snapshots", rows)
-
-
-def render_out_tree(out_dir: "str | Path",
-                    store_dir: "str | Path | None" = None,
-                    ) -> "list[Path]":
-    """Render galleries for every target under a sweep output dir.
-
-    When a trajectory store exists (``store_dir`` or the default
-    ``benchmarks/trajectory/``), its sparkline lands at
-    ``<out_dir>/trajectory.svg`` alongside the per-target galleries.
-    """
-    out = Path(out_dir)
+def render_out_tree(out_dir: "str | Path") -> "list[Path]":
+    """Render galleries for every ``<target>/result.json`` under a
+    sweep output dir, in target-name order."""
     written: list[Path] = []
-    for result_path in sorted(out.glob("*/result.json")):
+    for result_path in sorted(Path(out_dir).glob("*/result.json")):
         written.extend(render_result_gallery(result_path.parent))
-    store = Path(store_dir) if store_dir is not None \
-        else trajectory.DEFAULT_STORE
-    svg = trajectory_figure(store) if store.is_dir() else None
-    if svg is not None:
-        path = out / "trajectory.svg"
-        path.write_text(svg)
-        written.append(path)
     return written

@@ -11,8 +11,6 @@ the op-by-op reference it is pinned against is
 All recorded metrics are **deterministic cost proxies** — probe
 counts, not nanoseconds — which is what lets a workload cell produce
 bit-identical results at ``jobs=1`` and ``jobs=N`` on either executor.
-Wall-clock is measured too (for the benchmark trajectory) but kept
-out of the result payload.
 
 Per tick (a fixed op-count window, or a rate-driven variable one when
 ``tick_sizes`` is given) the report records:
@@ -57,7 +55,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -152,9 +150,8 @@ class ServingReport:
     rebuild_threshold`` for closed-loop replays — to a per-tick float64
     array (a tick with no read op carries NaN percentiles; the summary
     fields fall back to the last finite tick instead of propagating
-    it).  ``wall_seconds`` is the only non-deterministic field and is
-    deliberately excluded from :meth:`to_dict`.  ``tick_ops`` is 0 for
-    rate-driven replays, whose tick widths vary.
+    it).  ``tick_ops`` is 0 for rate-driven replays, whose tick widths
+    vary.
     """
 
     backend: str
@@ -178,7 +175,6 @@ class ServingReport:
     #: left to land them, so the budget ledger reconciles as
     #: spent == injected_poison + discarded_poison.
     discarded_poison: int
-    wall_seconds: float = field(compare=False)
 
     @property
     def n_ticks(self) -> int:
@@ -451,7 +447,6 @@ class ServingSimulator:
     def run(self) -> ServingReport:
         """Replay the whole trace; returns the metrics report."""
         trace, backend = self._trace, self._backend
-        started = time.perf_counter()
         baseline = self._sample_cost()
         driver = TickDriver(
             backend, trace, self._tick_ops, self._tick_sizes,
@@ -512,6 +507,4 @@ class ServingSimulator:
             max_error_bound=(float(error_bounds.max())
                              if error_bounds.size else 0.0),
             final_n_keys=int(backend.n_keys),
-            ops_by_kind=trace.counts(),
-            # repro: allow[REP003] -- wall_seconds is an advisory stats field, never compared or digested
-            wall_seconds=time.perf_counter() - started)
+            ops_by_kind=trace.counts())

@@ -118,15 +118,6 @@ class TestWorkloadCli:
         for cell in cells:
             assert cell["p50"] <= cell["p95"] <= cell["p99"]
 
-    def test_bench_workload_emitted(self, out_dir):
-        bench = json.loads(
-            (out_dir / "workload" / "BENCH_workload.json").read_text())
-        assert bench["schema"] == "repro.bench.workload/v1"
-        serving = bench["serving"]
-        assert serving["cells"] == 2
-        assert serving["wall_seconds"] > 0
-        assert set(serving["backends"]) == {"binary", "rmi"}
-
     def test_artifact_manifest_round_trips(self, out_dir):
         from repro import io
 

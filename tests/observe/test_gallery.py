@@ -186,8 +186,7 @@ class TestGalleryContents:
                       {"cell-1": _closedloop_arrays(1)})
         _write_target(tmp_path, "cluster",
                       {"cell-2": _cluster_arrays(2)})
-        written = gallery.render_out_tree(
-            tmp_path, store_dir=tmp_path / "no-store")
+        written = gallery.render_out_tree(tmp_path)
         names = {p.name for p in written}
         assert "GALLERY.md" in names
         assert any(n.endswith(".drift.svg") for n in names)

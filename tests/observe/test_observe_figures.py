@@ -28,13 +28,6 @@ def _heat():
         [[0.0, 1.0], [2.0, NAN], [4.0, 5.0]]))
 
 
-def _spark():
-    return figures.sparkline_figure("golden spark", [
-        ("lane/a", np.array([100.0, 150.0, 120.0])),
-        ("lane/b", np.array([NAN, 50.0, 80.0])),
-    ])
-
-
 def _bar():
     return figures.bar_figure("golden bars", [
         ("1. deferral", 0.405),
@@ -52,8 +45,6 @@ GOLDEN = {
                     "0d5a040cfdb83a91511dd72ef99d63"),
     "heat": (_heat, "ef5a9fafa155555ec21fd9e2808ef461"
                     "2b48893af1e5bd55de8d5bdf1219a29b"),
-    "spark": (_spark, "7a1b0d4285e998c9d9e52f077c4696f9"
-                      "63174bc2071de9c5a591e03a7194f8ee"),
 }
 
 
