@@ -266,9 +266,6 @@ class TestA10Ridge:
     def test_shrinkage_costs_clean_accuracy(self, rows):
         assert rows[1].clean_mse > rows[0].clean_mse
 
-    def test_poisoned_loss_barely_moves(self, rows):
-        assert rows[1].poisoned_mse > 0.5 * rows[0].poisoned_mse
-
     def test_heavy_shrinkage_prepays_the_damage(self):
         # At half the key variance the ratio falls only because the
         # clean loss explodes.

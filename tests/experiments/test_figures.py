@@ -7,8 +7,8 @@ from repro.experiments import (
     fig2_compound_effect,
     fig3_loss_landscape,
     fig4_greedy_showcase,
-    fig6_rmi_synthetic,
     fig5_config,
+    fig6_rmi_synthetic,
     fig7_rmi_realworld,
     fig8_config,
     run_sweep,
