@@ -1,4 +1,4 @@
-"""Golden ``result`` payloads of the A-series CLI targets.
+"""Golden ``result`` payloads of the A-series and serving CLI targets.
 
 Each target runs through ``main([name, "--quick", "--out", tmp])`` and
 its ``result`` payload must match the recorded golden: the same key
@@ -6,7 +6,10 @@ sets, row order, ints, bools and strings, and floats within rel 1e-9
 or abs 1e-12 — the BLAS slack ``test_determinism.py`` allows (a7
 refits through ``np.linalg.lstsq``, and a8's ``max_slope_error`` is
 rounding noise).  A1's wall-clock columns are left out.  a4 and a5
-take several seconds each and are not pinned here.
+take several seconds each and are not pinned here.  The three serving
+targets (``closedloop``, ``cluster``, ``ablate``) are pinned because
+the ablation grid replays the other two targets' worlds: a drift in
+any one of them shows up here before it reaches a ranking.
 
 Regenerate only after an intended change to an ablation's numbers::
 
@@ -27,7 +30,7 @@ GOLDEN_PATH = Path(__file__).parent / "golden_target_payloads.json"
 
 TARGETS = ("a1-bruteforce", "a2-trim", "a3-cost", "a6-deletion",
            "a7-polynomial", "a8-blackbox", "a9-updates", "a10-ridge",
-           "a11-adversaries")
+           "a11-adversaries", "closedloop", "cluster", "ablate")
 
 #: A1 is a timing benchmark: these columns differ on every run.
 WALL_CLOCK = ("fast_seconds", "brute_seconds", "speedup")
