@@ -8,21 +8,29 @@ cell of one scenario replays the identical trace over the identical
 base keys with the identical adversary, so metric deltas are
 attributable to the removed component alone.
 
-Two scenarios, both reusing the committed serving-cell recipes:
+Two scenarios, each cell replaying its target's own world through
+that target's replay function, so no cell can drift from the world it
+ablates:
 
-* ``drip`` — the closed-loop escalation duel of the ``closedloop``
-  target (rate-driven trace, Algorithm 2 pool, latency-escalation
+* ``drip`` — every cell calls
+  :func:`~repro.experiments.closedloop_serving.replay_closedloop`:
+  the closed-loop escalation duel of the ``closedloop`` target
+  (rate-driven trace, Algorithm 2 pool, latency-escalation
   adversary), with the TRIM auto-tuner's keep rule, the quarantine
   side list, and the churn-burst threshold boost as the toggleable
   layers;
-* ``cluster`` — the sharded multi-tenant victim scenario of the
+* ``cluster`` — every cell calls
+  :func:`~repro.experiments.cluster_serving.replay_cluster` with its
+  enabled set: the sharded multi-tenant victim scenario of the
   ``cluster`` target (concentrated placement against tenant 0), with
   the full managed stack toggleable: TRIM, quarantine, deferral, SLO
   weighting, the rebalancer, and migration re-screening.  Over the
   process transport with ``replicas >= 3`` the grid adds the
   replication layer (quorum reads + divergence detection) and plants
-  the silent poisoned-replica compromise in *every* cell, so the
-  quorum one-off measures what replication actually absorbs.
+  the silent poisoned-replica compromise
+  (:func:`~repro.experiments.cluster_serving.compromise_faults`) in
+  *every* cell, so the quorum one-off measures what replication
+  actually absorbs.
 
 Cells are engine-backed (checkpoint, resume, process/thread fan-out,
 jobs parity) and content-addressed purely by their parameters — the
@@ -38,40 +46,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
-from ..cluster import (
-    ClusterRouter,
-    ClusterSimulator,
-    ConcentratedClusterAdversary,
-    FaultSpec,
-    Rebalancer,
-    ShardMap,
-    SloWeightedDefense,
-    TransportClusterRouter,
-    TransportConfig,
-    make_cluster_adversary,
-)
-from ..core.rmi_attack import poison_rmi
-from ..core.threat_model import RMIAttackerCapability
-from ..data.keyset import KeySet
-from ..experiments.closedloop_serving import spec_for as drip_spec_for
+from ..experiments.closedloop_serving import replay_closedloop
 from ..experiments.cluster_serving import (
+    KEEP_DEADBAND,
+    KEEP_GAIN,
     VICTIM_TENANT,
-    spec_for as cluster_spec_for,
+    replay_cluster,
 )
 from ..experiments.report import format_ratio, render_table, section
 from ..io import json_fields, json_float, parse_json_float
 from ..runtime import Cell, CellOutput, sweep
-from ..workload import (
-    ServingSimulator,
-    TrimAutoTuner,
-    generate_rate_driven_trace,
-    generate_trace,
-    make_adversary,
-    make_arrival,
-    make_backend,
-)
+from ..workload import TrimAutoTuner
 from .components import (
     COMPONENT_NAMES,
     SCENARIOS,
@@ -88,18 +73,6 @@ from .importance import (
 __all__ = ["AblateConfig", "AblateRow", "AblateResult", "plan_cells",
            "run_ablate_cell", "run", "quick_config", "full_config",
            "variant_names"]
-
-#: The calibrated drip-scenario tuner: a shallow deadband plus a
-#: strong keep gain so the TRIM arm actually engages under the
-#: escalation adversary (the neutral defaults barely move against a
-#: drip — the PR 4 finding), matching the managed cluster arm's
-#: calibration in ``cluster_serving``.
-DRIP_KEEP_DEADBAND = 0.1
-DRIP_KEEP_GAIN = 0.75
-
-#: Ticks that each receive one dose of the silent replica compromise
-#: (cluster scenario over the process transport with replicas >= 3).
-COMPROMISE_TICKS = (1, 2, 3, 4)
 
 
 @dataclass(frozen=True)
@@ -273,178 +246,6 @@ def _enabled_set(scenario: str,
     return frozenset(name for name in names if name != removed)
 
 
-def _budget(p: dict[str, Any]) -> int:
-    return max(1, int(p["n_base_keys"] * p["poison_percentage"]
-                      / 100.0))
-
-
-def _run_drip_cell(p: dict[str, Any]) -> CellOutput:
-    """The closed-loop escalation duel with the chosen layers armed."""
-    enabled = _enabled_set("drip", p)
-    arrival = make_arrival(p["arrival"], rate=p["rate"],
-                           seed=p["seed"])
-    tick_sizes = arrival.tick_sizes(p["n_ticks"])
-    spec = drip_spec_for(p, n_ops=int(tick_sizes.sum()))
-    trace = generate_rate_driven_trace(spec, tick_sizes)
-
-    budget = _budget(p)
-    n_models = max(1, p["n_base_keys"] // p["model_size"])
-    pool = np.asarray(poison_rmi(
-        KeySet(trace.base_keys, domain=spec.domain()), n_models,
-        RMIAttackerCapability(
-            poisoning_percentage=p["poison_percentage"]),
-    ).poison_keys, dtype=np.int64)
-    adversary = make_adversary(
-        p["adversary"], trace.base_keys, spec.domain(), budget,
-        p["seed"], pool=pool,
-        target_amplification=p["target_amplification"])
-
-    # The tuner carries both drip-side layers: keep_gain=0 turns the
-    # armed screen into a pass-through (keep pinned at 1.0), boost=1
-    # disables the churn-burst threshold deferral.  Neither armed ==
-    # the fixed-defense floor, so the tuner drops out entirely.
-    tuner = None
-    if enabled & {"trim", "deferral"}:
-        tuner = TrimAutoTuner(
-            base_threshold=p["rebuild_threshold"],
-            keep_deadband=DRIP_KEEP_DEADBAND,
-            keep_gain=(DRIP_KEEP_GAIN if "trim" in enabled else 0.0),
-            **({} if "deferral" in enabled else {"boost": 1.0}))
-
-    build_args: dict[str, Any] = {}
-    if p["backend"] in ("rmi", "dynamic"):
-        build_args["model_size"] = p["model_size"]
-    backend = make_backend(
-        p["backend"], trace.base_keys,
-        rebuild_threshold=p["rebuild_threshold"],
-        quarantine_rejects=("quarantine" in enabled), **build_args)
-    report = ServingSimulator(backend, trace, tick_sizes=tick_sizes,
-                              adversary=adversary, tuner=tuner).run()
-
-    result = report.to_dict()
-    result.update({
-        "scenario": p["scenario"],
-        "variant": p["variant"],
-        "budget": budget,
-        "ablate_amplification": result["final_amplification"],
-        "ablate_p95": result["p95"],
-        "ablate_slo_violations": json_float(float("nan")),
-    })
-    return CellOutput(
-        result=result,
-        arrays={f"tick_{name}": series
-                for name, series in report.series.items()})
-
-
-def _compromise_faults(trace, spec, shard_map,
-                       p: dict[str, Any]) -> tuple[FaultSpec, ...]:
-    """The silent poisoned-replica doses against the victim's shard.
-
-    Crafted against the victim tenant's sub-CDF and filtered to the
-    compromised shard's range, split into one dose per early tick —
-    the ``run_poisoned_replica_scenario`` recipe, parameterised by
-    the cell.  Replica 0 absorbs them all; its peers never see them.
-    """
-    lo, hi = spec.tenant_ranges()[VICTIM_TENANT]
-    victim_shard = int(shard_map.route(
-        np.asarray([(lo + hi) // 2], dtype=np.int64))[0])
-    crafted = ConcentratedClusterAdversary(
-        trace.base_keys, spec.domain(), _budget(p), p["seed"],
-        (lo, hi), model_size=p["model_size"])
-    shard_lo, shard_hi = shard_map.shard_range(victim_shard)
-    pool = crafted.pool[(crafted.pool >= shard_lo)
-                        & (crafted.pool <= shard_hi)]
-    parts = np.array_split(pool, len(COMPROMISE_TICKS))
-    return tuple(
-        FaultSpec(kind="poison", shard=victim_shard, replica=0,
-                  tick=tick, until=tick,
-                  keys=tuple(int(k) for k in part))
-        for tick, part in zip(COMPROMISE_TICKS, parts) if part.size)
-
-
-def _run_cluster_cell(p: dict[str, Any]) -> CellOutput:
-    """The sharded victim scenario with the chosen layers armed."""
-    enabled = _enabled_set("cluster", p)
-    spec = cluster_spec_for(p)
-    trace = generate_trace(spec)
-    shard_map = ShardMap.balanced(trace.base_keys, p["n_shards"],
-                                  spec.domain())
-
-    build_args: dict[str, Any] = {
-        "quarantine_rejects": "quarantine" in enabled}
-    if p["backend"] in ("rmi", "dynamic"):
-        build_args["model_size"] = p["model_size"]
-    router_kwargs: dict[str, Any] = dict(
-        rebuild_threshold=p["rebuild_threshold"],
-        migration_rescreen="migration_rescreen" in enabled,
-        **build_args)
-    if p["transport"] == "process":
-        # Replication-scale cells carry the silent compromise in
-        # every variant, so the quorum one-off measures exactly what
-        # quorum reads + the divergence detector absorb.
-        faults = (_compromise_faults(trace, spec, shard_map, p)
-                  if p["replicas"] >= 3 else ())
-        router: ClusterRouter = TransportClusterRouter(
-            shard_map, trace.base_keys, p["backend"],
-            transport=(TransportConfig(faults=faults)
-                       if faults else None),
-            replicas=p["replicas"],
-            read_mode=("quorum" if "quorum" in enabled
-                       else "primary"),
-            detect_divergence=("quorum" in enabled),
-            **router_kwargs)
-    else:
-        router = ClusterRouter(shard_map, trace.base_keys,
-                               p["backend"], **router_kwargs)
-
-    budget = _budget(p)
-    adversary = make_cluster_adversary(
-        p["adversary"], trace.base_keys, spec.domain(), budget,
-        p["seed"],
-        victim_range=spec.tenant_ranges()[VICTIM_TENANT],
-        model_size=p["model_size"])
-
-    rebalancer = (Rebalancer(max_shards=p["max_shards"])
-                  if "rebalancer" in enabled else None)
-    defense = None
-    if enabled & {"trim", "deferral", "slo_weighting"}:
-        defense = SloWeightedDefense(
-            spec.tenant_slos(),
-            base_threshold=p["rebuild_threshold"],
-            keep_deadband=DRIP_KEEP_DEADBAND,
-            keep_gain=DRIP_KEEP_GAIN,
-            trim="trim" in enabled,
-            deferral="deferral" in enabled,
-            slo_weighting="slo_weighting" in enabled)
-
-    try:
-        report = ClusterSimulator(router, trace,
-                                  tick_ops=p["tick_ops"],
-                                  adversary=adversary,
-                                  rebalancer=rebalancer,
-                                  defense=defense).run()
-    finally:
-        router.close()
-
-    result = report.to_dict()
-    result.update({
-        "scenario": p["scenario"],
-        "variant": p["variant"],
-        "budget": budget,
-        "ablate_amplification": json_float(
-            report.final_tenant_amplification[VICTIM_TENANT]),
-        "ablate_p95": json_float(
-            report.final_tenant_p95[VICTIM_TENANT]),
-        "ablate_slo_violations": json_float(
-            report.tenant_slo_violation_fraction[VICTIM_TENANT]),
-    })
-    arrays = {f"tick_{name}": series
-              for name, series in report.series.items()}
-    arrays.update(report.tenant_series)
-    arrays.update(report.shard_series)
-    return CellOutput(result=result, arrays=arrays)
-
-
 def run_ablate_cell(cell: Cell) -> CellOutput:
     """Replay one ablation cell; keep the scenario's full series.
 
@@ -453,9 +254,53 @@ def run_ablate_cell(cell: Cell) -> CellOutput:
     replay identical stacks.
     """
     p = cell.params_dict
+    enabled = _enabled_set(p["scenario"], p)
     if p["scenario"] == "drip":
-        return _run_drip_cell(p)
-    return _run_cluster_cell(p)
+        # The tuner carries both drip-side layers: keep_gain=0 turns
+        # the armed screen into a pass-through (keep pinned at 1.0),
+        # boost=1 disables the churn-burst threshold deferral.
+        # Neither armed == the fixed-defense floor, so the tuner drops
+        # out entirely.
+        tuner = None
+        if enabled & {"trim", "deferral"}:
+            tuner = TrimAutoTuner(
+                base_threshold=p["rebuild_threshold"],
+                keep_deadband=KEEP_DEADBAND,
+                keep_gain=(KEEP_GAIN if "trim" in enabled else 0.0),
+                **({} if "deferral" in enabled else {"boost": 1.0}))
+        report, budget = replay_closedloop(
+            p, tuner, quarantine_rejects="quarantine" in enabled)
+        result = report.to_dict()
+        scored = {
+            "ablate_amplification": result["final_amplification"],
+            "ablate_p95": result["p95"],
+            "ablate_slo_violations": json_float(float("nan")),
+        }
+        arrays = {f"tick_{name}": series
+                  for name, series in report.series.items()}
+    else:
+        # Replication-scale cells carry the silent compromise in every
+        # variant, so the quorum one-off measures exactly what quorum
+        # reads + the divergence detector absorb.
+        report, budget = replay_cluster(
+            p, enabled, compromise=(p["transport"] == "process"
+                                    and p["replicas"] >= 3))
+        result = report.to_dict()
+        scored = {
+            "ablate_amplification": json_float(
+                report.final_tenant_amplification[VICTIM_TENANT]),
+            "ablate_p95": json_float(
+                report.final_tenant_p95[VICTIM_TENANT]),
+            "ablate_slo_violations": json_float(
+                report.tenant_slo_violation_fraction[VICTIM_TENANT]),
+        }
+        arrays = {f"tick_{name}": series
+                  for name, series in report.series.items()}
+        arrays.update(report.tenant_series)
+        arrays.update(report.shard_series)
+    result.update({"scenario": p["scenario"], "variant": p["variant"],
+                   "budget": budget, **scored})
+    return CellOutput(result=result, arrays=arrays)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from ..data.keyset import KeySet
 from ..io import json_fields, json_float, parse_json_float
 from ..runtime import Cell, CellOutput, sweep
 from ..workload import (
+    ServingReport,
     ServingSimulator,
     TraceSpec,
     TrimAutoTuner,
@@ -53,8 +54,8 @@ from .report import (
 )
 
 __all__ = ["ClosedLoopConfig", "ClosedLoopRow", "ClosedLoopResult",
-           "plan_cells", "run_closedloop_cell", "run", "quick_config",
-           "full_config", "DEFENSES"]
+           "plan_cells", "run_closedloop_cell", "replay_closedloop",
+           "run", "quick_config", "full_config", "DEFENSES"]
 
 DEFENSES = ("fixed", "tuned")
 
@@ -262,15 +263,21 @@ def plan_cells(config: ClosedLoopConfig) -> list[Cell]:
     ]
 
 
-def run_closedloop_cell(cell: Cell) -> CellOutput:
-    """Replay one control-loop scenario; keep the time series.
+def replay_closedloop(p: dict[str, Any],
+                      tuner: "TrimAutoTuner | None",
+                      quarantine_rejects: bool = True,
+                      ) -> tuple[ServingReport, int]:
+    """Replay one closed-loop world; return its report and budget.
 
-    Deterministic in the cell parameters alone: the arrival counts,
-    the trace, the Algorithm 2 pool, and every policy decision all
-    derive from them, so resumed and fanned-out runs replay identical
-    loops.
+    The world is a pure function of the cell parameters: the arrival
+    counts, the rate-driven trace, the Algorithm 2 pool, the injection
+    policy and the backend.  Only the defense varies with the caller:
+    ``tuner`` on the defense port (``None`` closes it) and whether
+    TRIM rejects stay on the quarantine side list.  The ``closedloop``
+    cells and the ``ablate`` drip cells both replay through here, so
+    an ablation removes a layer from exactly the world this target
+    measures.
     """
-    p = cell.params_dict
     arrival = make_arrival(p["arrival"], rate=p["rate"],
                            seed=p["seed"])
     tick_sizes = arrival.tick_sizes(p["n_ticks"])
@@ -293,17 +300,31 @@ def run_closedloop_cell(cell: Cell) -> CellOutput:
     adversary = make_adversary(p["adversary"], trace.base_keys,
                                spec.domain(), budget, p["seed"],
                                pool=pool, **policy_kwargs)
-    tuner = (TrimAutoTuner(base_threshold=p["rebuild_threshold"])
-             if p["defense"] == "tuned" else None)
 
     build_args: dict[str, Any] = {}
     if p["backend"] in ("rmi", "dynamic"):
         build_args["model_size"] = p["model_size"]
     backend = make_backend(p["backend"], trace.base_keys,
                            rebuild_threshold=p["rebuild_threshold"],
+                           quarantine_rejects=quarantine_rejects,
                            **build_args)
     report = ServingSimulator(backend, trace, tick_sizes=tick_sizes,
                               adversary=adversary, tuner=tuner).run()
+    return report, budget
+
+
+def run_closedloop_cell(cell: Cell) -> CellOutput:
+    """Replay one control-loop scenario; keep the time series.
+
+    Deterministic in the cell parameters alone: the arrival counts,
+    the trace, the Algorithm 2 pool, and every policy decision all
+    derive from them, so resumed and fanned-out runs replay identical
+    loops.
+    """
+    p = cell.params_dict
+    tuner = (TrimAutoTuner(base_threshold=p["rebuild_threshold"])
+             if p["defense"] == "tuned" else None)
+    report, budget = replay_closedloop(p, tuner)
 
     result = report.to_dict()
     result.update({

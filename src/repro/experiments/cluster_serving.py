@@ -36,6 +36,7 @@ from typing import Any
 import numpy as np
 
 from ..cluster import (
+    ClusterReport,
     ClusterRouter,
     ClusterSimulator,
     ConcentratedClusterAdversary,
@@ -49,7 +50,7 @@ from ..cluster import (
 )
 from ..io import json_fields, json_float, parse_json_float
 from ..runtime import Cell, CellOutput, sweep
-from ..workload import TraceSpec, generate_trace
+from ..workload import Trace, TraceSpec, generate_trace
 from .report import (
     DuelRow,
     format_ratio,
@@ -59,8 +60,10 @@ from .report import (
 )
 
 __all__ = ["ClusterConfig", "ClusterRow", "ClusterResult",
-           "plan_cells", "run_cluster_cell", "run", "quick_config",
-           "full_config", "CLUSTER_DEFENSES", "VICTIM_TENANT",
+           "plan_cells", "run_cluster_cell", "replay_cluster",
+           "compromise_faults", "run", "quick_config", "full_config",
+           "CLUSTER_DEFENSES", "VICTIM_TENANT", "KEEP_DEADBAND",
+           "KEEP_GAIN", "MANAGED_LAYERS", "STATIC_LAYERS",
            "ReplicaDuelArm", "ReplicaDuelResult",
            "run_poisoned_replica_scenario"]
 
@@ -69,6 +72,24 @@ CLUSTER_DEFENSES = ("static", "managed")
 #: The tenant under attack — tenant 0 is the heavy (premium) tenant
 #: of the ``skewed`` layout, with the tightest SLO tier.
 VICTIM_TENANT = 0
+
+#: The calibrated TRIM screen of every armed defense: a shallow
+#: deadband plus a strong keep gain, so the screen reacts to sub-probe
+#: model drift while recovery runs mostly through SLO-pressured retrain
+#: deferral — faithful to Section VI (TRIM cannot cheaply separate CDF
+#: poison) and to the closed-loop finding that the neutral tuner
+#: defaults barely move against a drip.  The managed arm and the
+#: ``ablate`` drip and cluster cells all read it.
+KEEP_DEADBAND = 0.1
+KEEP_GAIN = 0.75
+
+#: The defenses of the ``managed`` arm, by :mod:`repro.ablate`
+#: component name; the ``static`` arm keeps only the router's own.
+MANAGED_LAYERS = frozenset({
+    "trim", "quarantine", "deferral", "slo_weighting", "rebalancer",
+    "migration_rescreen", "quorum"})
+STATIC_LAYERS = MANAGED_LAYERS - {
+    "trim", "deferral", "slo_weighting", "rebalancer"}
 
 
 @dataclass(frozen=True)
@@ -316,6 +337,107 @@ def plan_cells(config: ClusterConfig) -> list[Cell]:
     ]
 
 
+def compromise_faults(trace: Trace, shard_map: ShardMap, budget: int,
+                      seed: int, model_size: int,
+                      ) -> tuple[int, int, tuple[FaultSpec, ...]]:
+    """The silent compromise of one replica of the victim's shard.
+
+    Algorithm 2 poison is crafted against the victim tenant's sub-CDF,
+    kept to the range of the shard serving the victim's midpoint, and
+    split into one dose for each of ticks 1-4.  Replica 0 absorbs
+    every dose; its peers never see them.  Returns ``(victim shard,
+    poison key count, faults)``.
+    """
+    spec = trace.spec
+    lo, hi = spec.tenant_ranges()[VICTIM_TENANT]
+    victim_shard = int(shard_map.route(
+        np.asarray([(lo + hi) // 2], dtype=np.int64))[0])
+    crafted = ConcentratedClusterAdversary(
+        trace.base_keys, spec.domain(), budget, seed, (lo, hi),
+        model_size=model_size)
+    shard_lo, shard_hi = shard_map.shard_range(victim_shard)
+    pool = crafted.pool[(crafted.pool >= shard_lo)
+                        & (crafted.pool <= shard_hi)]
+    faults = tuple(
+        FaultSpec(kind="poison", shard=victim_shard, replica=0,
+                  tick=tick, until=tick,
+                  keys=tuple(int(k) for k in dose))
+        for tick, dose in enumerate(np.array_split(pool, 4), start=1)
+        if dose.size)
+    return victim_shard, int(pool.size), faults
+
+
+def replay_cluster(p: dict[str, Any], layers: frozenset[str],
+                   compromise: bool = False,
+                   ) -> tuple[ClusterReport, int]:
+    """Replay one sharded world with ``layers`` armed; return
+    ``(report, budget)``.
+
+    The world (trace, balanced shard map, router, placement adversary)
+    is a pure function of ``p``; the router is a set of worker replica
+    groups when ``p`` names the ``process`` transport.  ``layers``
+    holds :mod:`repro.ablate` component names: ``migration_rescreen``
+    and ``quarantine`` arm the router, ``quorum`` its quorum reads and
+    divergence detector, ``rebalancer`` the split/merge manager, and
+    ``trim``, ``deferral`` and ``slo_weighting`` the SLO-weighted
+    defense.  ``compromise`` plants :func:`compromise_faults`; without
+    it the transport injects nothing, so a process cell is
+    bit-identical to its in-process twin (the parity suite's
+    contract).
+    """
+    spec = spec_for(p)
+    trace = generate_trace(spec)
+    shard_map = ShardMap.balanced(trace.base_keys, p["n_shards"],
+                                  spec.domain())
+    budget = max(1, int(p["n_base_keys"] * p["poison_percentage"]
+                        / 100.0))
+    adversary = make_cluster_adversary(
+        p["adversary"], trace.base_keys, spec.domain(), budget,
+        p["seed"],
+        victim_range=spec.tenant_ranges()[VICTIM_TENANT],
+        model_size=p["model_size"])
+    rebalancer = (Rebalancer(max_shards=p["max_shards"])
+                  if "rebalancer" in layers else None)
+    defense = None
+    if layers & {"trim", "deferral", "slo_weighting"}:
+        defense = SloWeightedDefense(
+            spec.tenant_slos(),
+            base_threshold=p["rebuild_threshold"],
+            keep_deadband=KEEP_DEADBAND, keep_gain=KEEP_GAIN,
+            trim="trim" in layers,
+            deferral="deferral" in layers,
+            slo_weighting="slo_weighting" in layers)
+
+    router_args: dict[str, Any] = dict(
+        rebuild_threshold=p["rebuild_threshold"],
+        migration_rescreen="migration_rescreen" in layers,
+        quarantine_rejects="quarantine" in layers)
+    if p["backend"] in ("rmi", "dynamic"):
+        router_args["model_size"] = p["model_size"]
+    if p.get("transport", "inproc") == "process":
+        faults = (compromise_faults(trace, shard_map, budget, p["seed"],
+                                    p["model_size"])[2]
+                  if compromise else ())
+        router: ClusterRouter = TransportClusterRouter(
+            shard_map, trace.base_keys, p["backend"],
+            transport=TransportConfig(faults=faults),
+            replicas=p.get("replicas", 1),
+            read_mode="quorum" if "quorum" in layers else "primary",
+            detect_divergence="quorum" in layers, **router_args)
+    else:
+        router = ClusterRouter(shard_map, trace.base_keys,
+                               p["backend"], **router_args)
+    try:
+        report = ClusterSimulator(router, trace,
+                                  tick_ops=p["tick_ops"],
+                                  adversary=adversary,
+                                  rebalancer=rebalancer,
+                                  defense=defense).run()
+    finally:
+        router.close()
+    return report, budget
+
+
 def run_cluster_cell(cell: Cell) -> CellOutput:
     """Replay one sharded scenario; keep all three series families.
 
@@ -325,58 +447,9 @@ def run_cluster_cell(cell: Cell) -> CellOutput:
     clusters.
     """
     p = cell.params_dict
-    spec = spec_for(p)
-    trace = generate_trace(spec)
-    shard_map = ShardMap.balanced(trace.base_keys, p["n_shards"],
-                                  spec.domain())
-
-    build_args: dict[str, Any] = {}
-    if p["backend"] in ("rmi", "dynamic"):
-        build_args["model_size"] = p["model_size"]
-    if p.get("transport", "inproc") == "process":
-        # The cross-process cluster: every shard is a group of
-        # ``replicas`` worker processes behind the wire protocol.
-        # Injection stays off, so the cell's numbers are pinned
-        # bit-identical to the in-process arm (the parity suite's
-        # contract) — the axis measures the transport, not a scenario.
-        router: ClusterRouter = TransportClusterRouter(
-            shard_map, trace.base_keys, p["backend"],
-            rebuild_threshold=p["rebuild_threshold"],
-            replicas=p.get("replicas", 1), **build_args)
-    else:
-        router = ClusterRouter(
-            shard_map, trace.base_keys, p["backend"],
-            rebuild_threshold=p["rebuild_threshold"], **build_args)
-
-    budget = max(1, int(p["n_base_keys"] * p["poison_percentage"]
-                        / 100.0))
-    adversary = make_cluster_adversary(
-        p["adversary"], trace.base_keys, spec.domain(), budget,
-        p["seed"],
-        victim_range=spec.tenant_ranges()[VICTIM_TENANT],
-        model_size=p["model_size"])
-
-    rebalancer = defense = None
-    if p["defense"] == "managed":
-        rebalancer = Rebalancer(max_shards=p["max_shards"])
-        # Calibrated screen: a shallow deadband + strong gain so the
-        # TRIM arm reacts to sub-probe model drift, while recovery
-        # runs mostly through SLO-pressured retrain deferral —
-        # faithful to Section VI (TRIM cannot cheaply separate CDF
-        # poison) and to the PR 4 closed-loop finding.
-        defense = SloWeightedDefense(
-            spec.tenant_slos(),
-            base_threshold=p["rebuild_threshold"],
-            keep_deadband=0.1, keep_gain=0.75)
-
-    try:
-        report = ClusterSimulator(router, trace,
-                                  tick_ops=p["tick_ops"],
-                                  adversary=adversary,
-                                  rebalancer=rebalancer,
-                                  defense=defense).run()
-    finally:
-        router.close()
+    report, budget = replay_cluster(
+        p, MANAGED_LAYERS if p["defense"] == "managed"
+        else STATIC_LAYERS)
 
     result = report.to_dict()
     result.update({
@@ -473,17 +546,6 @@ class ReplicaDuelResult:
         }
 
 
-def _poison_doses(pool: np.ndarray, shard: int,
-                  ticks: tuple[int, ...]) -> tuple[FaultSpec, ...]:
-    """Split a crafted pool into one single-tick dose per tick."""
-    parts = np.array_split(np.asarray(pool, dtype=np.int64),
-                           len(ticks))
-    return tuple(
-        FaultSpec(kind="poison", shard=shard, replica=0, tick=tick,
-                  until=tick, keys=tuple(int(k) for k in part))
-        for tick, part in zip(ticks, parts) if part.size)
-
-
 def run_poisoned_replica_scenario(backend: str = "rmi",
                                   replicas: int = 3,
                                   seed: int = 23) -> ReplicaDuelResult:
@@ -517,16 +579,8 @@ def run_poisoned_replica_scenario(backend: str = "rmi",
         tenant_skew=0.5, slo_p95=5.0, slo_tier_factor=1.5, seed=seed)
     trace = generate_trace(spec)
     shard_map = ShardMap.balanced(trace.base_keys, 2, spec.domain())
-    lo, hi = spec.tenant_ranges()[VICTIM_TENANT]
-    victim_shard = int(shard_map.route(
-        np.asarray([(lo + hi) // 2], dtype=np.int64))[0])
-    crafted = ConcentratedClusterAdversary(
-        trace.base_keys, spec.domain(), 80, seed, (lo, hi),
-        model_size=100)
-    shard_lo, shard_hi = shard_map.shard_range(victim_shard)
-    pool = crafted.pool[(crafted.pool >= shard_lo)
-                        & (crafted.pool <= shard_hi)]
-    faults = _poison_doses(pool, victim_shard, (1, 2, 3, 4))
+    victim_shard, poison_budget, faults = compromise_faults(
+        trace, shard_map, 80, seed, 100)
 
     def run_arm(read_mode: str, detector: bool) -> ReplicaDuelArm:
         router = TransportClusterRouter(
@@ -552,7 +606,7 @@ def run_poisoned_replica_scenario(backend: str = "rmi",
 
     return ReplicaDuelResult(
         backend=backend, replicas=replicas,
-        victim_shard=victim_shard, poison_budget=int(pool.size),
+        victim_shard=victim_shard, poison_budget=poison_budget,
         slo_p95=5.0,
         quorum=run_arm("quorum", True),
         primary=run_arm("primary", False))

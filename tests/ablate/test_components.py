@@ -9,6 +9,7 @@ from repro.ablate import (
     applicable_components,
     component,
 )
+from repro.experiments import cluster_serving
 
 
 class TestRegistry:
@@ -86,3 +87,18 @@ class TestApplicability:
         # filtering to it must not resurrect it.
         assert applicable_components(
             "cluster", components=("quorum",)) == ()
+
+
+class TestClusterTargetLayers:
+    """``repro.experiments`` cannot import the registry (the registry's
+    package imports it), so these pins keep the ``cluster`` target's
+    two arms in step with the components the ablation grid toggles."""
+
+    def test_managed_arm_arms_every_cluster_component(self):
+        assert cluster_serving.MANAGED_LAYERS == frozenset(
+            spec.name for spec in applicable_components(
+                "cluster", transport="process", replicas=3))
+
+    def test_static_arm_keeps_only_the_router_layers(self):
+        assert cluster_serving.STATIC_LAYERS == {
+            "quarantine", "migration_rescreen", "quorum"}
