@@ -27,12 +27,10 @@ The router also owns the two cluster-level books the simulator reads:
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_EXCEPTION, wait
 from typing import Any
 
 import numpy as np
 
-from ..runtime.engine import EXECUTORS
 from ..workload.backends import ServingBackend, make_backend
 from ..workload.trace import (
     OP_DELETE,
@@ -59,42 +57,17 @@ class ShardServingError(RuntimeError):
 
 
 class ClusterRouter:
-    """Route batched serving operations to per-shard backends.
-
-    ``fanout_jobs``/``fanout_executor`` configure :meth:`replay_ops`'s
-    per-shard concurrency: shards are independent between migrations,
-    so their op sequences can execute in parallel.  The executor is
-    resolved from the sweep engine's registry; only in-process pools
-    are accepted (shard state is shared mutable memory — a process
-    pool would mutate copies).  Results are scattered back in shard
-    order by the calling thread, so the replay stays bit-deterministic
-    at any job count.
-    """
+    """Route batched serving operations to per-shard backends."""
 
     def __init__(self, shard_map: ShardMap, keys: np.ndarray,
                  backend: str, rebuild_threshold: float = 0.1,
                  trim_keep_fraction: "float | None" = None,
-                 fanout_jobs: int = 1,
-                 fanout_executor: str = "thread",
                  migration_rescreen: bool = True,
                  **build_args: Any):
-        if fanout_jobs < 1:
-            raise ValueError(
-                f"fanout_jobs must be >= 1: {fanout_jobs}")
-        if fanout_executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {fanout_executor!r}; known: "
-                f"{sorted(EXECUTORS)}")
-        if fanout_executor == "process":
-            raise ValueError(
-                "shard fan-out needs an in-process executor: shards "
-                "share mutable state a process pool would copy")
         self._map = shard_map
         self._backend_name = backend
         self._threshold = rebuild_threshold
         self._keep_fraction = trim_keep_fraction
-        self._fanout_jobs = int(fanout_jobs)
-        self._fanout_executor = fanout_executor
         # The ablation seam: with re-screening off, a backend built
         # from migrated keys keeps its TRIM settings armed for future
         # rebuilds but skips the immediate screening compaction, so
@@ -334,12 +307,10 @@ class ClusterRouter:
         delete plus one insert on each key's shard, a range one
         endpoint event on every shard it spans — then hands each
         shard its events in op order through the backend's own
-        :meth:`~repro.workload.backends.ServingBackend.replay_ops`.
-        Shards are independent between migrations, so with
-        ``fanout_jobs > 1`` their event runs execute concurrently;
-        the calling thread scatters (found, probes) back by read
-        slot, so results are bit-identical to the one-key-at-a-time
-        feed at any job count.
+        :meth:`~repro.workload.backends.ServingBackend.replay_ops`,
+        one shard after another, and scatters (found, probes) back by
+        read slot, so results are bit-identical to the
+        one-key-at-a-time feed.
 
         Returns ``(found, probes)`` with one entry per query/range op
         in the slice (found is only meaningful for queries; a range's
@@ -465,27 +436,7 @@ class ClusterRouter:
         if metrics is not None:
             metrics.inc("router.events", int(key_arr.size))
             metrics.inc("router.shard_batches", len(groups))
-        if self._fanout_jobs > 1 and len(groups) > 1:
-            # Collect *all* futures and cancel the still-pending ones
-            # on the first failure: pool.map would tear the context
-            # manager down while sibling shard replays keep mutating
-            # shared maps, and its exception loses which shard died.
-            with EXECUTORS[self._fanout_executor](
-                    max_workers=self._fanout_jobs) as pool:
-                futures = [pool.submit(serve_guarded, s, eidx)
-                           for s, eidx in groups]
-                done, pending = wait(futures,
-                                     return_when=FIRST_EXCEPTION)
-                failed = next(
-                    (f for f in done
-                     if not f.cancelled() and f.exception()), None)
-                if failed is not None:
-                    for f in pending:
-                        f.cancel()
-                    raise failed.exception()
-                results = [f.result() for f in futures]
-        else:
-            results = [serve_guarded(*g) for g in groups]
+        results = [serve_guarded(*g) for g in groups]
         if metrics is not None:
             metrics.observe("router.fanout",
                             time.perf_counter() - fanout_started)

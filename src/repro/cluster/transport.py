@@ -1,8 +1,8 @@
 """Cross-process shard transport: workers, wire protocol, fault book.
 
 The in-process :class:`~repro.cluster.router.ClusterRouter` stops at
-thread fan-out over shared-memory backends; this module is the real
-transport underneath it.  Each shard replica is a **worker process**
+shared-memory backends; this module is the real transport underneath
+it.  Each shard replica is a **worker process**
 hosting an unmodified :mod:`repro.workload.backends` backend and
 speaking a versioned binary protocol over a pipe — the columnar
 ``replay_ops`` event runs are the wire unit, serialized by
@@ -305,12 +305,12 @@ def shard_worker_main(conn, build_blob: bytes) -> None:
 def spawn_context():
     """The start method shard workers use.
 
-    ``forkserver`` where available: the router fan-out runs in
-    threads, and forking a threaded process can deadlock the child on
-    locks the fork snapshotted mid-acquire — the fork server stays
-    single-threaded, so its forks are safe *and* cheap (one
-    interpreter boot total, preloaded with the backend stack, instead
-    of one per worker under ``spawn``).
+    ``forkserver`` where available: the sweep engine's thread executor
+    builds routers in threads, and forking a threaded process can
+    deadlock the child on locks the fork snapshotted mid-acquire — the
+    fork server stays single-threaded, so its forks are safe *and*
+    cheap (one interpreter boot total, preloaded with the backend
+    stack, instead of one per worker under ``spawn``).
     """
     methods = mp.get_all_start_methods()
     if "forkserver" in methods:
@@ -396,7 +396,7 @@ class TransportBook:
     *seq* to slot ``(shard, replica)`` in tick *t* is a pure function
     of ``(config.seed, shard, replica, t, seq)`` — per-slot request
     counters reset at each :meth:`start_tick`, so the same scenario
-    replays the same degraded-window series at any fan-out job count.
+    replays the same degraded-window series on every run.
     """
 
     def __init__(self, config: TransportConfig):
@@ -405,7 +405,7 @@ class TransportBook:
         #: Optional :class:`repro.observe.MetricsRegistry`; clients
         #: read it for the encode/rpc/decode/retry stage timers.
         #: Counters and timings are commutative, so one registry is
-        #: safe across the router's thread fan-out.
+        #: safe across the sweep engine's thread executor.
         self.metrics = None
         self._lock = threading.Lock()
         self._seq: "dict[tuple[int, int], int]" = {}

@@ -19,9 +19,9 @@ so the disabled path costs one attribute check — no null-object
 context managers on the hot loops.
 
 Counters and timings are commutative (sums), so the registry is safe
-to share across the router's thread fan-out; trace events are emitted
-only from the single-threaded simulator tick loops, keeping the log
-order deterministic.  A lock protects the read-modify-write updates.
+to share across the sweep engine's thread executor; trace events are
+emitted only from the single-threaded simulator tick loops, keeping
+the log order deterministic.  A lock protects the read-modify-write updates.
 
 Process-pool workers do not share the parent's registry: the
 module-level :func:`install` / :func:`active` pair is per-process, so

@@ -1,12 +1,11 @@
 """Router ``replay_ops`` vs the op-by-op oracle: the parity contract.
 
-:meth:`ClusterRouter.replay_ops` (one call per tick, optionally
-fanning shards out across a thread pool) must be **bit-identical** to
-the op-by-op walk of :mod:`replay_oracle` over the router's single-op
-surface: same 1D/tenant/shard series, same finals, same map digests —
-under adversaries, rebalancing, and the per-shard defense, at any
-fan-out width.  The sweep-engine grid test pins the same contract
-across jobs and executors.
+:meth:`ClusterRouter.replay_ops` (one call per tick) must be
+**bit-identical** to the op-by-op walk of :mod:`replay_oracle` over the
+router's single-op surface: same 1D/tenant/shard series, same finals,
+same map digests — under adversaries, rebalancing, and the per-shard
+defense.  The sweep-engine grid test pins the same contract across
+jobs and executors.
 """
 
 import numpy as np
@@ -40,13 +39,6 @@ class TestClusterParity:
             col, ref = both(cluster, "rmi", spec=SPEC, tick_ops=tick_ops)
             assert_reports_identical(col, ref)
 
-    @pytest.mark.parametrize("fanout_jobs", (2, 4))
-    def test_fanout_matches_serial(self, fanout_jobs):
-        """Concurrent shard fan-out is bit-identical to serial."""
-        ref = cluster("rmi", prepare=op_by_op)
-        fan = cluster("rmi", fanout_jobs=fanout_jobs)
-        assert_reports_identical(fan, ref)
-
     def test_unprovisioned_shard_materialises(self):
         """Inserts landing on an empty shard build it mid-tick on
         both replay arms."""
@@ -67,34 +59,6 @@ class TestClusterParity:
                 op_by_op(router) if reference else router, trace,
                 tick_ops=200).run())
         assert_reports_identical(*reports)
-
-
-class TestRouterFanoutValidation:
-    def test_rejects_zero_jobs(self):
-        trace = generate_trace(SPEC)
-        shard_map = ShardMap.balanced(trace.base_keys, 2,
-                                      SPEC.domain())
-        with pytest.raises(ValueError, match="fanout_jobs"):
-            ClusterRouter(shard_map, trace.base_keys, "binary",
-                          fanout_jobs=0)
-
-    def test_rejects_unknown_executor(self):
-        trace = generate_trace(SPEC)
-        shard_map = ShardMap.balanced(trace.base_keys, 2,
-                                      SPEC.domain())
-        with pytest.raises(ValueError, match="unknown executor"):
-            ClusterRouter(shard_map, trace.base_keys, "binary",
-                          fanout_executor="fiber")
-
-    def test_rejects_process_pools(self):
-        """Shards are shared mutable state; a process pool would
-        serve copies and silently drop every mutation."""
-        trace = generate_trace(SPEC)
-        shard_map = ShardMap.balanced(trace.base_keys, 2,
-                                      SPEC.domain())
-        with pytest.raises(ValueError, match="in-process"):
-            ClusterRouter(shard_map, trace.base_keys, "binary",
-                          fanout_executor="process")
 
 
 class TestClusterEdgeCases:

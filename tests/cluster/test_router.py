@@ -232,32 +232,25 @@ class TestDynamicMigration:
 
 
 class TestFanOutErrors:
-    """The PR 7 satellite bugfix: a shard failing mid-fan-out must
-    surface as one ShardServingError naming the shard, with the
-    still-pending sibling jobs cancelled — not a bare exception from
-    whichever future happened to be inspected first."""
+    """A shard failing mid-replay surfaces as one ShardServingError
+    naming the shard — not a bare exception that loses which range
+    failed."""
 
     @pytest.fixture()
     def broken_router(self, setup):
         domain, keys, shard_map = setup
+        router = ClusterRouter(shard_map, keys, "binary")
 
-        def run(jobs):
-            router = ClusterRouter(shard_map, keys, "binary",
-                                   fanout_jobs=jobs)
+        def explode(kinds, keys, aux):
+            raise RuntimeError("disk on fire")
 
-            def explode(kinds, keys, aux):
-                raise RuntimeError("disk on fire")
+        router.shard(2).replay_ops = explode
+        n = keys.size
+        kinds = np.zeros(n, dtype=np.int8)  # all queries
+        return router, kinds, keys, np.zeros(n, dtype=np.int64)
 
-            router.shard(2).replay_ops = explode
-            n = keys.size
-            kinds = np.zeros(n, dtype=np.int8)  # all queries
-            return router, kinds, keys, np.zeros(n, dtype=np.int64)
-
-        return run
-
-    @pytest.mark.parametrize("jobs", (1, 4))
-    def test_error_names_the_failing_shard(self, broken_router, jobs):
-        router, kinds, keys, aux = broken_router(jobs)
+    def test_error_names_the_failing_shard(self, broken_router):
+        router, kinds, keys, aux = broken_router
         with pytest.raises(ShardServingError,
                            match="shard 2: RuntimeError") as err:
             router.replay_ops(kinds, keys, aux)
@@ -265,7 +258,7 @@ class TestFanOutErrors:
 
     def test_healthy_shards_unaffected_after_the_error(
             self, broken_router):
-        router, kinds, keys, aux = broken_router(4)
+        router, kinds, keys, aux = broken_router
         with pytest.raises(ShardServingError):
             router.replay_ops(kinds, keys, aux)
         shards = router.shard_map.route(keys)

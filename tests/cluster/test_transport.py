@@ -171,7 +171,7 @@ SPEC = TraceSpec(n_base_keys=300, n_ops=800, insert_fraction=0.05,
                  n_tenants=2, tenant_layout="ranges", seed=11)
 
 
-def run_sim(faults=(), latency=0.0, seed=0, replicas=1, jobs=1,
+def run_sim(faults=(), latency=0.0, seed=0, replicas=1,
             backend="binary"):
     trace = generate_trace(SPEC)
     shard_map = ShardMap.balanced(trace.base_keys, 2, SPEC.domain())
@@ -180,46 +180,45 @@ def run_sim(faults=(), latency=0.0, seed=0, replicas=1, jobs=1,
         transport=TransportConfig(faults=tuple(faults),
                                   latency_mean_ms=latency, seed=seed,
                                   timeout_ms=8.0),
-        replicas=replicas, fanout_jobs=jobs)
+        replicas=replicas)
     try:
         return ClusterSimulator(router, trace, tick_ops=200).run()
     finally:
         router.close()
 
 
-@pytest.mark.parametrize("jobs", (1, 2))
 class TestFaultGrid:
-    def test_dead_worker_fails_over_to_the_peer_replica(self, jobs):
+    def test_dead_worker_fails_over_to_the_peer_replica(self):
         """Replica 0 of shard 0 dies at tick 1; after the failover
         budget burns, its twin keeps the shard serving every key."""
         report = run_sim(
             faults=[FaultSpec(kind="dead", shard=0, replica=0,
                               tick=1)],
-            replicas=2, jobs=jobs)
+            replicas=2)
         assert report.found_fraction == 1.0
         degraded = report.series["degraded"]
         assert degraded[0] == 0  # fault not active yet
         assert (degraded[1:] > 0).all()  # dead slot stays on record
         assert report.degraded_ticks == report.n_ticks - 1
 
-    def test_dead_sole_replica_degrades_to_misses(self, jobs):
+    def test_dead_sole_replica_degrades_to_misses(self):
         """With no peer to fail over to, the shard's reads miss at
         zero cost instead of wedging the cluster."""
         report = run_sim(
             faults=[FaultSpec(kind="dead", shard=0, replica=0,
                               tick=1)],
-            replicas=1, jobs=jobs)
+            replicas=1)
         assert 0.0 < report.found_fraction < 1.0
         assert report.degraded_ticks == report.n_ticks - 1
 
-    def test_timeout_then_retry_succeeds_within_the_tick(self, jobs):
+    def test_timeout_then_retry_succeeds_within_the_tick(self):
         """One injected timeout per request for one tick: every call
         retries into success, so results are unharmed — but the tick
         is degraded and charged timeout + backoff latency."""
         fault = FaultSpec(kind="timeout", shard=0, replica=0, tick=2,
                           until=2, attempts=1)
-        report = run_sim(faults=[fault], jobs=jobs)
-        clean = run_sim(jobs=jobs)
+        report = run_sim(faults=[fault])
+        clean = run_sim()
         assert report.found_fraction == 1.0
         assert np.array_equal(report.series["p95"],
                               clean.series["p95"])
@@ -230,26 +229,16 @@ class TestFaultGrid:
         assert latency[2] > 0.0
         assert latency[[0, 1, 3]].sum() == 0.0
 
-    def test_injected_latency_is_deterministic_in_the_seed(self, jobs):
-        """Same seed => bit-identical degraded/latency series at any
-        fan-out job count; a different seed draws a different world."""
-        a = run_sim(latency=3.0, seed=7, jobs=jobs)
-        b = run_sim(latency=3.0, seed=7, jobs=jobs)
-        other = run_sim(latency=3.0, seed=8, jobs=jobs)
+    def test_injected_latency_is_deterministic_in_the_seed(self):
+        """Same seed => bit-identical degraded/latency series; a
+        different seed draws a different world."""
+        a = run_sim(latency=3.0, seed=7)
+        b = run_sim(latency=3.0, seed=7)
+        other = run_sim(latency=3.0, seed=8)
         for name in ("latency_ms", "degraded", "p95"):
             assert np.array_equal(a.series[name], b.series[name]), name
         assert not np.array_equal(a.series["latency_ms"],
                                   other.series["latency_ms"])
-
-    def test_latency_series_parity_across_job_counts(self, jobs):
-        """The seeding contract: per-slot request counters reset each
-        tick, so jobs=N replays the jobs=1 latency series exactly."""
-        report = run_sim(latency=3.0, seed=7, jobs=jobs)
-        reference = run_sim(latency=3.0, seed=7, jobs=1)
-        assert report.to_dict() == reference.to_dict()
-        for name in reference.series:
-            assert np.array_equal(report.series[name],
-                                  reference.series[name]), name
 
 
 class TestFaultSpecValidation:

@@ -149,8 +149,8 @@ def serving_loop(backend, prepare=None):
                  tuner=TrimAutoTuner(base_threshold=0.12))
 
 
-def cluster(backend, spec=TENANTS, tick_ops=200, fanout_jobs=1,
-            managed=False, prepare=None, **ports):
+def cluster(backend, spec=TENANTS, tick_ops=200, managed=False,
+            prepare=None, **ports):
     """Four shards; ``managed`` adds the hotshard adversary, the
     rebalancer, the SLO defense and TRIM at 0.9."""
     trace = generate_trace(spec)
@@ -158,8 +158,7 @@ def cluster(backend, spec=TENANTS, tick_ops=200, fanout_jobs=1,
     kw = {"model_size": 100} if backend in ("rmi", "dynamic") else {}
     router = ClusterRouter(
         shard_map, trace.base_keys, backend, rebuild_threshold=0.12,
-        trim_keep_fraction=0.9 if managed else None,
-        fanout_jobs=fanout_jobs, **kw)
+        trim_keep_fraction=0.9 if managed else None, **kw)
     if prepare is not None:
         prepare(router)
     if managed:
