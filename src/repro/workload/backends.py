@@ -118,10 +118,19 @@ class ServingBackend:
     name = "abstract"
     #: Whether a TRIM sanitizer makes sense (models train on keys).
     supports_trim = True
+    #: The structure's own build arguments and their defaults; any
+    #: other keyword is rejected by name.
+    build_defaults: dict[str, int] = {}
 
     def __init__(self, keys: np.ndarray, rebuild_threshold: float = 0.1,
                  trim_keep_fraction: float | None = None,
                  quarantine_rejects: bool = True, **build_args):
+        unknown = sorted(set(build_args) - set(self.build_defaults))
+        if unknown:
+            raise ValueError(
+                f"backend {self.name!r} takes no build argument "
+                f"{', '.join(map(repr, unknown))}; known: "
+                f"{sorted(self.build_defaults)}")
         self._validate_threshold(rebuild_threshold)
         self._validate_keep_fraction(trim_keep_fraction)
         self._threshold = rebuild_threshold
@@ -133,7 +142,7 @@ class ServingBackend:
         # retained on the binary-searched side list.  Default True —
         # every pre-existing scenario keeps the durable screen.
         self._quarantine_rejects = bool(quarantine_rejects)
-        self._build_args = build_args
+        self._build_args = {**self.build_defaults, **build_args}
         self._snapshot = np.sort(np.asarray(keys, dtype=np.int64))
         self._delta = np.empty(0, dtype=np.int64)
         self._tombs = np.empty(0, dtype=np.int64)
@@ -667,14 +676,7 @@ class BTreeBackend(ServingBackend):
 
     name = "btree"
     supports_trim = False
-
-    def __init__(self, keys: np.ndarray, rebuild_threshold: float = 0.1,
-                 trim_keep_fraction: float | None = None,
-                 quarantine_rejects: bool = True,
-                 min_degree: int = 16):
-        super().__init__(keys, rebuild_threshold, trim_keep_fraction,
-                         quarantine_rejects=quarantine_rejects,
-                         min_degree=min_degree)
+    build_defaults = {"min_degree": 16}
 
     def _build(self, keys: np.ndarray) -> None:
         self._tree = BTree.bulk_load(keys, **self._build_args)
@@ -733,14 +735,7 @@ class RMIBackend(ServingBackend):
     """
 
     name = "rmi"
-
-    def __init__(self, keys: np.ndarray, rebuild_threshold: float = 0.1,
-                 trim_keep_fraction: float | None = None,
-                 quarantine_rejects: bool = True,
-                 model_size: int = 100):
-        super().__init__(keys, rebuild_threshold, trim_keep_fraction,
-                         quarantine_rejects=quarantine_rejects,
-                         model_size=model_size)
+    build_defaults = {"model_size": 100}
 
     def _build(self, keys: np.ndarray) -> None:
         n_models = max(int(keys.size) // self._build_args["model_size"],
@@ -775,14 +770,7 @@ class DynamicBackend(ServingBackend):
     """
 
     name = "dynamic"
-
-    def __init__(self, keys: np.ndarray, rebuild_threshold: float = 0.1,
-                 trim_keep_fraction: float | None = None,
-                 quarantine_rejects: bool = True,
-                 model_size: int = 100):
-        super().__init__(keys, rebuild_threshold, trim_keep_fraction,
-                         quarantine_rejects=quarantine_rejects,
-                         model_size=model_size)
+    build_defaults = {"model_size": 100}
 
     def _build(self, keys: np.ndarray) -> None:
         n_models = max(int(keys.size) // self._build_args["model_size"],

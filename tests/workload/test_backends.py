@@ -274,6 +274,25 @@ class TestRegistry:
         with pytest.raises(ValueError, match="threshold"):
             make_backend("rmi", keys, rebuild_threshold=0.0)
 
+    @pytest.mark.parametrize("name", ALL)
+    def test_unknown_build_argument_rejected_by_name(self, name, keys):
+        """A misspelt build argument is neither silently kept nor a
+        bare TypeError: the error names the backend, the argument and
+        the arguments the backend does take."""
+        with pytest.raises(ValueError) as err:
+            make_backend(name, keys, modle_size=100)
+        known = sorted(BACKENDS[name].build_defaults)
+        assert str(err.value) == (
+            f"backend {name!r} takes no build argument 'modle_size'; "
+            f"known: {known}")
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_declared_build_arguments_accepted(self, name, keys):
+        backend = make_backend(name, keys,
+                               **BACKENDS[name].build_defaults)
+        found, _ = backend.lookup_batch(keys)
+        assert found.all()
+
 
 class TestDynamicFold:
     @pytest.mark.parametrize("replay", (False, True))
