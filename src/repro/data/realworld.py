@@ -112,8 +112,7 @@ def osm_school_latitudes(rng: np.random.Generator,
         Source of randomness; fix the seed for reproducible keysets.
     n:
         Number of unique keys; defaults to the paper's 302,973.  Use a
-        smaller ``n`` for quick runs — density then drops accordingly,
-        which EXPERIMENTS.md notes next to the affected numbers.
+        smaller ``n`` for quick runs — density then drops accordingly.
     """
     centres = np.array([b[0] for b in _LATITUDE_BUMPS])
     stds = np.array([b[1] for b in _LATITUDE_BUMPS])

@@ -2,8 +2,8 @@
 
 The paper reports boxplots; a terminal harness reports the same
 five-number summaries as aligned tables plus a coarse ascii boxplot so
-shapes are comparable at a glance.  Every benchmark prints through
-these helpers so EXPERIMENTS.md rows can be pasted verbatim.
+shapes are comparable at a glance.  Every target prints through
+these helpers, so its tables paste verbatim into a document.
 
 Serving grids (``closedloop``, ``cluster``) additionally end in a
 *duel* block: every challenger row compared against its same-world

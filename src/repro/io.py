@@ -3,8 +3,8 @@
 Reproduction pipelines want three things on disk: the exact keysets an
 experiment used, the poisoning sets an attack produced, and the
 summary numbers a run reported.  Keysets and key arrays go to ``.npz``
-(lossless int64); result summaries go to JSON so EXPERIMENTS.md rows
-and external plotting tools can consume them without importing this
+(lossless int64); result summaries go to JSON so reports and
+external plotting tools can consume them without importing this
 library.
 """
 
