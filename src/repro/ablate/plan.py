@@ -270,14 +270,9 @@ def run_ablate_cell(cell: Cell) -> CellOutput:
                 **({} if "deferral" in enabled else {"boost": 1.0}))
         report, budget = replay_closedloop(
             p, tuner, quarantine_rejects="quarantine" in enabled)
-        result = report.to_dict()
-        scored = {
-            "ablate_amplification": result["final_amplification"],
-            "ablate_p95": result["p95"],
-            "ablate_slo_violations": json_float(float("nan")),
-        }
-        arrays = {f"tick_{name}": series
-                  for name, series in report.series.items()}
+        amplification, p95, slo_violations = (
+            report.final_amplification, report.p95, float("nan"))
+        series_2d: dict[str, Any] = {}
     else:
         # Replication-scale cells carry the silent compromise in every
         # variant, so the quorum one-off measures exactly what quorum
@@ -285,22 +280,23 @@ def run_ablate_cell(cell: Cell) -> CellOutput:
         report, budget = replay_cluster(
             p, enabled, compromise=(p["transport"] == "process"
                                     and p["replicas"] >= 3))
-        result = report.to_dict()
-        scored = {
-            "ablate_amplification": json_float(
-                report.final_tenant_amplification[VICTIM_TENANT]),
-            "ablate_p95": json_float(
-                report.final_tenant_p95[VICTIM_TENANT]),
-            "ablate_slo_violations": json_float(
-                report.tenant_slo_violation_fraction[VICTIM_TENANT]),
-        }
-        arrays = {f"tick_{name}": series
-                  for name, series in report.series.items()}
-        arrays.update(report.tenant_series)
-        arrays.update(report.shard_series)
-    result.update({"scenario": p["scenario"], "variant": p["variant"],
-                   "budget": budget, **scored})
-    return CellOutput(result=result, arrays=arrays)
+        amplification, p95, slo_violations = (
+            report.final_tenant_amplification[VICTIM_TENANT],
+            report.final_tenant_p95[VICTIM_TENANT],
+            report.tenant_slo_violation_fraction[VICTIM_TENANT])
+        series_2d = {**report.tenant_series, **report.shard_series}
+    result = report.to_dict()
+    result.update({
+        "scenario": p["scenario"],
+        "variant": p["variant"],
+        "budget": budget,
+        "ablate_amplification": json_float(amplification),
+        "ablate_p95": json_float(p95),
+        "ablate_slo_violations": json_float(slo_violations),
+    })
+    arrays = {f"tick_{name}": series
+              for name, series in report.series.items()}
+    return CellOutput(result=result, arrays={**arrays, **series_2d})
 
 
 @dataclass(frozen=True)

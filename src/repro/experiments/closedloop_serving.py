@@ -264,7 +264,7 @@ def plan_cells(config: ClosedLoopConfig) -> list[Cell]:
 
 
 def replay_closedloop(p: dict[str, Any],
-                      tuner: "TrimAutoTuner | None",
+                      tuner: TrimAutoTuner | None,
                       quarantine_rejects: bool = True,
                       ) -> tuple[ServingReport, int]:
     """Replay one closed-loop world; return its report and budget.
