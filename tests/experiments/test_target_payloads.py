@@ -11,7 +11,7 @@ targets (``closedloop``, ``cluster``, ``ablate``) are pinned because
 the ablation grid replays the other two targets' worlds: a drift in
 any one of them shows up here before it reaches a ranking.
 
-Regenerate only after an intended change to an ablation's numbers::
+Regenerate only after an intended change to a pinned target's numbers::
 
     PYTHONPATH=src python tests/experiments/test_target_payloads.py
 """

@@ -286,12 +286,14 @@ class TestRegistry:
             f"backend {name!r} takes no build argument 'modle_size'; "
             f"known: {known}")
 
-    @pytest.mark.parametrize("name", ALL)
-    def test_declared_build_arguments_accepted(self, name, keys):
-        backend = make_backend(name, keys,
-                               **BACKENDS[name].build_defaults)
-        found, _ = backend.lookup_batch(keys)
-        assert found.all()
+    @pytest.mark.parametrize("name, arg, value", (
+        ("btree", "min_degree", 4), ("rmi", "model_size", 25),
+        ("dynamic", "model_size", 25)))
+    def test_declared_build_argument_shapes_the_structure(
+            self, name, arg, value, keys):
+        assert BACKENDS[name].build_defaults[arg] != value
+        assert make_backend(name, keys, **{arg: value}).error_bound() \
+            != make_backend(name, keys).error_bound()
 
 
 class TestDynamicFold:
