@@ -49,13 +49,11 @@ from .router import ClusterRouter, ShardServingError
 from .shardmap import ShardMap
 from .simulator import (
     CLUSTER_ADVERSARIES,
-    ClusterAdversary,
     ClusterReport,
     ClusterSimulator,
     ClusterTickObservation,
-    ConcentratedClusterAdversary,
     HotShardAdversary,
-    UniformClusterAdversary,
+    concentrated_pool,
     make_cluster_adversary,
 )
 from .transport import (
@@ -87,10 +85,8 @@ __all__ = [
     "ClusterSimulator",
     "ClusterReport",
     "ClusterTickObservation",
-    "ClusterAdversary",
-    "UniformClusterAdversary",
-    "ConcentratedClusterAdversary",
     "HotShardAdversary",
+    "concentrated_pool",
     "CLUSTER_ADVERSARIES",
     "make_cluster_adversary",
 ]

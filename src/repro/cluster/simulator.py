@@ -34,8 +34,8 @@ Cluster adversaries
 The simulator reuses the PR 4 feedback port: after every tick the
 adversary observes a :class:`ClusterTickObservation` and its returned
 keys are injected at the start of the next tick.  Three placements,
-all budget-ledgered through the same
-:class:`~repro.workload.closedloop.AdaptiveAdversary` machinery:
+two of them pools released by the closed-loop
+:class:`~repro.workload.closedloop.ObliviousDripAdversary`:
 
 ``uniform``       evenly spaced fresh keys across the whole domain —
                   the placement-blind baseline every shard absorbs a
@@ -45,13 +45,13 @@ all budget-ledgered through the same
                   victim's range — the cluster-aware attack that
                   drags split points and forces hot-shard splits
                   there;
-``hotshard``      feedback-driven: packs crafted keys around the mass
-                  centre of whichever shard the observation shows
-                  hottest inside the victim's range.
+``hotshard``      feedback-driven: packs crafted keys, at the drip's
+                  dose, around the centre of whichever shard the
+                  observation shows hottest inside the victim's range.
 
-Because all placements share one budget and one drip pacing, a gap
-between them is attributable to *placement* alone — the cluster-level
-analogue of PR 4's same-world timing duels.
+All placements therefore share one budget and one drip pacing by
+construction, so a gap between them is attributable to *placement*
+alone — the cluster-level analogue of PR 4's same-world timing duels.
 """
 
 from __future__ import annotations
@@ -62,14 +62,17 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..core.rmi_attack import poison_rmi
-from ..core.threat_model import RMIAttackerCapability
-from ..data.keyset import Domain, KeySet
+from ..data.keyset import Domain
 from ..io import json_float
 from ..observe.metrics import MetricsRegistry
 from ..observe.metrics import active as observe_active
 from ..runtime import stable_seed_words
-from ..workload.closedloop import AdaptiveAdversary
+from ..workload.closedloop import (
+    AdaptiveAdversary,
+    ObliviousDripAdversary,
+    pack_around,
+    rmi_pool,
+)
 from ..workload.simulator import TickDriver, TickObservation, last_finite
 from ..workload.trace import Trace
 from .rebalance import Rebalancer, SloWeightedDefense
@@ -77,9 +80,8 @@ from .router import ClusterRouter
 
 __all__ = [
     "ClusterTickObservation", "ClusterReport", "ClusterSimulator",
-    "ClusterAdversary", "UniformClusterAdversary",
-    "ConcentratedClusterAdversary", "HotShardAdversary",
-    "CLUSTER_ADVERSARIES", "make_cluster_adversary",
+    "HotShardAdversary", "concentrated_pool", "CLUSTER_ADVERSARIES",
+    "make_cluster_adversary",
 ]
 
 _CLUSTER_SERIES = ("p50", "p95", "p99", "mean_probes", "error_bound",
@@ -242,68 +244,9 @@ def _fresh_even_keys(base: np.ndarray, lo: int, hi: int,
     return np.asarray(sorted(out), dtype=np.int64)
 
 
-class ClusterAdversary(AdaptiveAdversary):
-    """Budget-ledgered even drip of a fixed, placement-specific pool.
-
-    Subclasses fill ``self._pool`` in ``__init__``; the base paces it
-    evenly over the injection opportunities (the oblivious-drip
-    timing), so any duel between placements is same-pacing by
-    construction.  ``victim_range`` is the key range of the tenant
-    under attack (tenant 0 by the grid's convention).
-    """
-
-    name = "abstract-cluster"
-
-    def __init__(self, base_keys: np.ndarray, domain: Domain,
-                 budget: int, seed: int,
-                 victim_range: tuple[int, int]):
-        super().__init__(base_keys, domain, budget, seed)
-        lo, hi = victim_range
-        if not domain.lo <= lo <= hi <= domain.hi:
-            raise ValueError(
-                f"victim range [{lo}, {hi}] must sit inside the "
-                f"domain [{domain.lo}, {domain.hi}]")
-        self._victim = (int(lo), int(hi))
-        self._pool = np.empty(0, dtype=np.int64)
-
-    @property
-    def pool(self) -> np.ndarray:
-        """The crafted poison pool (placement-specific, deterministic)."""
-        return self._pool
-
-    def _seal_pool(self, pool: np.ndarray) -> None:
-        """Install the crafted pool; the ledger follows its size."""
-        self._pool = np.asarray(pool, dtype=np.int64)[:self._budget]
-        self._budget = min(self._budget, int(self._pool.size))
-
-    def _take(self, count: int) -> np.ndarray:
-        return self._pool[self._emitted:self._emitted + max(count, 0)]
-
-    def _next_keys(self, obs: ClusterTickObservation) -> np.ndarray:
-        chances = max(1, obs.ticks_total - 1)
-        dose = -(-self.budget // chances)  # ceil: spend the whole pool
-        return self._take(dose)
-
-
-class UniformClusterAdversary(ClusterAdversary):
-    """Placement-blind baseline: even spread over the whole domain.
-
-    Every shard absorbs a dose proportional to its key-space width —
-    the strongest attack an adversary ignorant of tenancy and the
-    shard map can mount with the same budget and pacing.
-    """
-
-    name = "uniform"
-
-    def __init__(self, base_keys: np.ndarray, domain: Domain,
-                 budget: int, seed: int,
-                 victim_range: tuple[int, int]):
-        super().__init__(base_keys, domain, budget, seed, victim_range)
-        self._seal_pool(_fresh_even_keys(self._base, domain.lo,
-                                         domain.hi, budget))
-
-
-class ConcentratedClusterAdversary(ClusterAdversary):
+def concentrated_pool(base_keys: np.ndarray,
+                      victim_range: tuple[int, int], budget: int,
+                      model_size: int) -> np.ndarray:
     """Cluster-aware placement: Algorithm 2 against the victim tenant.
 
     The architecture-aware RMI attack runs against the victim's
@@ -321,48 +264,36 @@ class ConcentratedClusterAdversary(ClusterAdversary):
     the crafted pool), which only makes a same-budget duel against
     the uniform placement conservative.
     """
-
-    name = "concentrated"
-
-    def __init__(self, base_keys: np.ndarray, domain: Domain,
-                 budget: int, seed: int,
-                 victim_range: tuple[int, int], model_size: int = 100):
-        super().__init__(base_keys, domain, budget, seed, victim_range)
-        if model_size < 1:
-            raise ValueError(
-                f"model_size must be >= 1, got {model_size}")
-        lo, hi = self._victim
-        inside = self._base[(self._base >= lo) & (self._base <= hi)]
-        if inside.size == 0:
-            raise ValueError(
-                f"victim range [{lo}, {hi}] holds no base keys")
-        victim = KeySet(inside, domain=Domain(lo, hi))
-        n_models = max(1, inside.size // model_size)
-        percentage = min(20.0, 100.0 * budget / inside.size)
-        self._seal_pool(np.asarray(poison_rmi(
-            victim, n_models,
-            RMIAttackerCapability(poisoning_percentage=percentage),
-        ).poison_keys, dtype=np.int64))
+    if model_size < 1:
+        raise ValueError(
+            f"model_size must be >= 1, got {model_size}")
+    lo, hi = int(victim_range[0]), int(victim_range[1])
+    base = np.sort(np.asarray(base_keys, dtype=np.int64))
+    inside = base[(base >= lo) & (base <= hi)]
+    if inside.size == 0:
+        raise ValueError(
+            f"victim range [{lo}, {hi}] holds no base keys")
+    return rmi_pool(inside, Domain(lo, hi), model_size,
+                    min(20.0, 100.0 * budget / inside.size))
 
 
-class HotShardAdversary(ClusterAdversary):
+class HotShardAdversary(AdaptiveAdversary):
     """Feedback-driven placement: chase the hottest victim shard.
 
     Each tick the observation's per-shard loads pick the busiest
-    shard overlapping the victim's range; the dose packs outward from
-    that shard's key-range centre, skipping occupied and
-    already-crafted values.  The pool is crafted lazily, so this is
-    the one placement that genuinely *uses* the feedback port's
-    cluster channels.
+    shard overlapping the victim's range (tenant 0's, by the grid's
+    convention); the drip's dose packs outward from that shard's
+    key-range centre, skipping occupied and already-crafted values.
+    The keys are crafted lazily, so this is the one placement that
+    genuinely *uses* the feedback port's cluster channels.
     """
 
     name = "hotshard"
 
     def __init__(self, base_keys: np.ndarray, domain: Domain,
-                 budget: int, seed: int,
-                 victim_range: tuple[int, int]):
-        super().__init__(base_keys, domain, budget, seed, victim_range)
-        self._budget = int(budget)
+                 budget: int, victim_range: tuple[int, int]):
+        super().__init__(base_keys, domain, budget)
+        self._victim = (int(victim_range[0]), int(victim_range[1]))
         self._crafted: set[int] = set()
 
     def _hottest_victim_shard(self, obs: ClusterTickObservation,
@@ -382,54 +313,41 @@ class HotShardAdversary(ClusterAdversary):
         chances = max(1, obs.ticks_total - 1)
         dose = min(-(-self.budget // chances), self.remaining)
         lo, hi = self._hottest_victim_shard(obs)
-        centre = (lo + hi) // 2
-        out: list[int] = []
-        offset = 0
-        while len(out) < dose and offset <= (hi - lo + 1):
-            for candidate in (centre + offset, centre - offset):
-                if len(out) >= dose:
-                    break
-                if not lo <= candidate <= hi:
-                    continue
-                if candidate in self._crafted:
-                    continue
-                slot = int(np.searchsorted(self._base, candidate))
-                if (slot < self._base.size
-                        and int(self._base[slot]) == candidate):
-                    continue
-                out.append(candidate)
-                self._crafted.add(candidate)
-            offset += 1
-        return np.asarray(sorted(out), dtype=np.int64)
+        return np.sort(pack_around(self._base, self._crafted,
+                                   (lo + hi) // 2, lo, hi, dose))
 
 
-CLUSTER_ADVERSARIES: dict[str, type[ClusterAdversary]] = {
-    cls.name: cls
-    for cls in (UniformClusterAdversary, ConcentratedClusterAdversary,
-                HotShardAdversary)
-}
+CLUSTER_ADVERSARIES = ("uniform", "concentrated", "hotshard")
 
 
 def make_cluster_adversary(name: str, base_keys: np.ndarray,
-                           domain: Domain, budget: int, seed: int,
+                           domain: Domain, budget: int,
                            victim_range: tuple[int, int],
-                           model_size: int = 100) -> ClusterAdversary:
+                           model_size: int = 100) -> AdaptiveAdversary:
     """Instantiate a registered cluster placement policy.
 
     ``model_size`` only reaches the architecture-aware
-    ``concentrated`` placement; passing it for the others is allowed
-    (and ignored) so callers can treat the registry uniformly.
+    ``concentrated`` pool; passing it for the others is allowed (and
+    ignored) so callers can treat the registry uniformly.
     """
-    try:
-        cls = CLUSTER_ADVERSARIES[name]
-    except KeyError:
+    if name not in CLUSTER_ADVERSARIES:
         raise ValueError(
             f"unknown cluster adversary {name!r}; known: "
-            f"{sorted(CLUSTER_ADVERSARIES)}") from None
-    kwargs: dict[str, Any] = {"victim_range": victim_range}
-    if cls is ConcentratedClusterAdversary:
-        kwargs["model_size"] = model_size
-    return cls(base_keys, domain, budget, seed, **kwargs)
+            f"{sorted(CLUSTER_ADVERSARIES)}")
+    lo, hi = victim_range
+    if not domain.lo <= lo <= hi <= domain.hi:
+        raise ValueError(
+            f"victim range [{lo}, {hi}] must sit inside the "
+            f"domain [{domain.lo}, {domain.hi}]")
+    if name == "hotshard":
+        return HotShardAdversary(base_keys, domain, budget,
+                                 victim_range)
+    if name == "uniform":
+        pool = _fresh_even_keys(base_keys, domain.lo, domain.hi, budget)
+    else:
+        pool = concentrated_pool(base_keys, victim_range, budget,
+                                 model_size)
+    return ObliviousDripAdversary(base_keys, domain, budget, pool=pool)
 
 
 # ----------------------------------------------------------------------

@@ -28,11 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
-from ..core.rmi_attack import poison_rmi
-from ..core.threat_model import RMIAttackerCapability
-from ..data.keyset import KeySet
 from ..io import json_fields, json_float, parse_json_float
 from ..runtime import Cell, CellOutput, sweep
 from ..workload import (
@@ -45,6 +40,7 @@ from ..workload import (
     make_arrival,
     make_backend,
 )
+from ..workload.closedloop import rmi_pool
 from .report import (
     DuelRow,
     format_ratio,
@@ -286,20 +282,16 @@ def replay_closedloop(p: dict[str, Any],
 
     budget = max(1, int(p["n_base_keys"] * p["poison_percentage"]
                         / 100.0))
-    n_models = max(1, p["n_base_keys"] // p["model_size"])
-    pool = np.asarray(poison_rmi(
-        KeySet(trace.base_keys, domain=spec.domain()), n_models,
-        RMIAttackerCapability(
-            poisoning_percentage=p["poison_percentage"]),
-    ).poison_keys, dtype=np.int64)
+    pool = rmi_pool(trace.base_keys, spec.domain(), p["model_size"],
+                    p["poison_percentage"])
 
     policy_kwargs: dict[str, Any] = {}
     if p["adversary"] == "escalate":
         policy_kwargs["target_amplification"] = \
             p["target_amplification"]
     adversary = make_adversary(p["adversary"], trace.base_keys,
-                               spec.domain(), budget, p["seed"],
-                               pool=pool, **policy_kwargs)
+                               spec.domain(), budget, pool=pool,
+                               **policy_kwargs)
 
     build_args: dict[str, Any] = {}
     if p["backend"] in ("rmi", "dynamic"):

@@ -39,13 +39,13 @@ from ..cluster import (
     ClusterReport,
     ClusterRouter,
     ClusterSimulator,
-    ConcentratedClusterAdversary,
     FaultSpec,
     Rebalancer,
     ShardMap,
     SloWeightedDefense,
     TransportClusterRouter,
     TransportConfig,
+    concentrated_pool,
     make_cluster_adversary,
 )
 from ..io import json_fields, json_float, parse_json_float
@@ -338,7 +338,7 @@ def plan_cells(config: ClusterConfig) -> list[Cell]:
 
 
 def compromise_faults(trace: Trace, shard_map: ShardMap, budget: int,
-                      seed: int, model_size: int,
+                      model_size: int,
                       ) -> tuple[int, int, tuple[FaultSpec, ...]]:
     """The silent compromise of one replica of the victim's shard.
 
@@ -352,12 +352,10 @@ def compromise_faults(trace: Trace, shard_map: ShardMap, budget: int,
     lo, hi = spec.tenant_ranges()[VICTIM_TENANT]
     victim_shard = int(shard_map.route(
         np.asarray([(lo + hi) // 2], dtype=np.int64))[0])
-    crafted = ConcentratedClusterAdversary(
-        trace.base_keys, spec.domain(), budget, seed, (lo, hi),
-        model_size=model_size)
+    crafted = concentrated_pool(trace.base_keys, (lo, hi), budget,
+                                model_size)
     shard_lo, shard_hi = shard_map.shard_range(victim_shard)
-    pool = crafted.pool[(crafted.pool >= shard_lo)
-                        & (crafted.pool <= shard_hi)]
+    pool = crafted[(crafted >= shard_lo) & (crafted <= shard_hi)]
     faults = tuple(
         FaultSpec(kind="poison", shard=victim_shard, replica=0,
                   tick=tick, until=tick,
@@ -393,7 +391,6 @@ def replay_cluster(p: dict[str, Any], layers: frozenset[str],
                         / 100.0))
     adversary = make_cluster_adversary(
         p["adversary"], trace.base_keys, spec.domain(), budget,
-        p["seed"],
         victim_range=spec.tenant_ranges()[VICTIM_TENANT],
         model_size=p["model_size"])
     rebalancer = (Rebalancer(max_shards=p["max_shards"])
@@ -415,7 +412,7 @@ def replay_cluster(p: dict[str, Any], layers: frozenset[str],
     if p["backend"] in ("rmi", "dynamic"):
         router_args["model_size"] = p["model_size"]
     if p.get("transport", "inproc") == "process":
-        faults = (compromise_faults(trace, shard_map, budget, p["seed"],
+        faults = (compromise_faults(trace, shard_map, budget,
                                     p["model_size"])[2]
                   if compromise else ())
         router: ClusterRouter = TransportClusterRouter(
@@ -580,7 +577,7 @@ def run_poisoned_replica_scenario(backend: str = "rmi",
     trace = generate_trace(spec)
     shard_map = ShardMap.balanced(trace.base_keys, 2, spec.domain())
     victim_shard, poison_budget, faults = compromise_faults(
-        trace, shard_map, 80, seed, 100)
+        trace, shard_map, 80, 100)
 
     def run_arm(read_mode: str, detector: bool) -> ReplicaDuelArm:
         router = TransportClusterRouter(

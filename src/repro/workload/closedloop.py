@@ -1,8 +1,8 @@
 """Closed-loop serving: arrival rates, adaptive adversaries, auto-tuning.
 
 PR 3 made the threat model *online*; this module closes the loop.
-Three pluggable policy families, all deterministic in their seeds and
-the observation stream, so closed-loop cells keep the jobs/executor
+Three pluggable policy families, all deterministic in their parameters
+and the observation stream, so closed-loop cells keep the jobs/executor
 parity guarantee of everything else on the sweep engine:
 
 * :class:`ArrivalModel` — ops-per-tick processes (``constant``, a
@@ -29,9 +29,9 @@ parity guarantee of everything else on the sweep engine:
   poison damage can only tighten (never relax) the screen — which the
   hypothesis suite pins.
 
-Every policy draws any randomness through ``stable_seed_words`` and
-keeps all state inside the object, so one cell = fresh policies =
-bit-identical replays in any worker of any resumed run.
+Only the Poisson arrivals draw randomness (via ``stable_seed_words``);
+every policy keeps all state inside the object, so one cell = fresh
+policies = bit-identical replays in any worker of any resumed run.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ from typing import Any
 import numpy as np
 
 from ..core.greedy import greedy_poison
+from ..core.rmi_attack import poison_rmi
+from ..core.threat_model import RMIAttackerCapability
 from ..data.keyset import Domain, KeySet
 from ..runtime import stable_seed_words
 from .simulator import TickObservation, TunerDecision
@@ -52,7 +54,7 @@ __all__ = [
     "AdaptiveAdversary", "ObliviousDripAdversary",
     "LatencyEscalationAdversary", "HillClimbAdversary",
     "RetrainBackoffAdversary", "ADVERSARIES", "make_adversary",
-    "TrimAutoTuner",
+    "TrimAutoTuner", "rmi_pool", "pack_around",
 ]
 
 
@@ -196,6 +198,41 @@ def make_arrival(name: str, rate: float, seed: int = 0,
 # Adaptive adversaries
 # ----------------------------------------------------------------------
 
+def rmi_pool(base_keys: np.ndarray, domain: Domain, model_size: int,
+             percentage: float) -> np.ndarray:
+    """Algorithm 2's pool against an RMI of one model per
+    ``model_size`` base keys: what the serving duels release."""
+    n_models = max(1, len(base_keys) // model_size)
+    return np.asarray(poison_rmi(
+        KeySet(base_keys, domain=domain), n_models,
+        RMIAttackerCapability(poisoning_percentage=percentage),
+    ).poison_keys, dtype=np.int64)
+
+
+def pack_around(base: np.ndarray, crafted: set[int], centre: int,
+                lo: int, hi: int, count: int) -> np.ndarray:
+    """Up to ``count`` keys in ``[lo, hi]`` packed outward from
+    ``centre``, skipping the sorted ``base`` and ``crafted`` (which
+    records each key emitted); in emission order."""
+    out: list[int] = []
+    offset = 0
+    while len(out) < count and offset <= hi - lo + 1:
+        for candidate in (centre + offset, centre - offset):
+            if len(out) >= count:
+                break
+            if not lo <= candidate <= hi:
+                continue
+            if candidate in crafted:
+                continue
+            slot = int(np.searchsorted(base, candidate))
+            if slot < base.size and int(base[slot]) == candidate:
+                continue
+            out.append(candidate)
+            crafted.add(candidate)
+        offset += 1
+    return np.asarray(out, dtype=np.int64)
+
+
 class AdaptiveAdversary:
     """An attacker on the simulator's feedback port.
 
@@ -209,15 +246,13 @@ class AdaptiveAdversary:
     name = "abstract"
 
     def __init__(self, base_keys: np.ndarray, domain: Domain,
-                 budget: int, seed: int):
+                 budget: int):
         if budget < 1:
             raise ValueError(f"adversary needs a budget: {budget}")
         self._base = np.sort(np.asarray(base_keys, dtype=np.int64))
         self._domain = domain
         self._budget = int(budget)
         self._emitted = 0
-        self._rng = np.random.default_rng(stable_seed_words(
-            seed, "adaptive-adversary", self.name))
 
     @property
     def budget(self) -> int:
@@ -259,9 +294,8 @@ class _PooledAdversary(AdaptiveAdversary):
     """
 
     def __init__(self, base_keys: np.ndarray, domain: Domain,
-                 budget: int, seed: int,
-                 pool: "np.ndarray | None" = None):
-        super().__init__(base_keys, domain, budget, seed)
+                 budget: int, pool: "np.ndarray | None" = None):
+        super().__init__(base_keys, domain, budget)
         if pool is None:
             keyset = KeySet(self._base, domain=domain)
             pool = np.asarray(
@@ -279,7 +313,8 @@ class _PooledAdversary(AdaptiveAdversary):
 class ObliviousDripAdversary(_PooledAdversary):
     """The oblivious baseline, expressed as an injection policy.
 
-    Releases the greedy pool at a fixed, even pace — the trace
+    Releases its pool (the cluster placements ``uniform`` and
+    ``concentrated`` are two) at a fixed, even pace — the trace
     schedules' ``drip`` — using nothing from the observation but the
     clock (its own schedule knowledge, not feedback).  Running the
     oblivious arm through the same port as the adaptive ones keeps an
@@ -314,11 +349,10 @@ class LatencyEscalationAdversary(_PooledAdversary):
     name = "escalate"
 
     def __init__(self, base_keys: np.ndarray, domain: Domain,
-                 budget: int, seed: int,
-                 pool: "np.ndarray | None" = None,
+                 budget: int, pool: "np.ndarray | None" = None,
                  target_amplification: float = 1.5,
                  initial_dose: int = 1, endgame_ticks: int = 2):
-        super().__init__(base_keys, domain, budget, seed, pool=pool)
+        super().__init__(base_keys, domain, budget, pool=pool)
         if target_amplification <= 1.0:
             raise ValueError(
                 f"target amplification must exceed the clean baseline: "
@@ -357,9 +391,8 @@ class HillClimbAdversary(AdaptiveAdversary):
     name = "hillclimb"
 
     def __init__(self, base_keys: np.ndarray, domain: Domain,
-                 budget: int, seed: int, dose: int = 8,
-                 endgame_ticks: int = 2):
-        super().__init__(base_keys, domain, budget, seed)
+                 budget: int, dose: int = 8, endgame_ticks: int = 2):
+        super().__init__(base_keys, domain, budget)
         if dose < 1 or endgame_ticks < 1:
             raise ValueError("dose and endgame_ticks must be >= 1")
         self._dose = int(dose)
@@ -383,29 +416,8 @@ class HillClimbAdversary(AdaptiveAdversary):
         chances_left = obs.ticks_total - 1 - obs.tick
         count = (self.remaining if chances_left <= self._endgame
                  else self._dose)
-        return self._craft_cluster(self._centre, count)
-
-    def _craft_cluster(self, centre: int, count: int) -> np.ndarray:
-        """``count`` unoccupied keys packed outward from ``centre``."""
-        out: list[int] = []
-        offset = 0
-        while len(out) < count and offset <= self._domain.size:
-            for candidate in (centre + offset, centre - offset):
-                if len(out) >= count:
-                    break
-                if candidate < self._domain.lo or \
-                        candidate > self._domain.hi:
-                    continue
-                if candidate in self._crafted:
-                    continue
-                slot = int(np.searchsorted(self._base, candidate))
-                if (slot < self._base.size
-                        and int(self._base[slot]) == candidate):
-                    continue
-                out.append(candidate)
-                self._crafted.add(candidate)
-            offset += 1
-        return np.asarray(out, dtype=np.int64)
+        return pack_around(self._base, self._crafted, self._centre,
+                           self._domain.lo, self._domain.hi, count)
 
 
 class RetrainBackoffAdversary(_PooledAdversary):
@@ -421,10 +433,9 @@ class RetrainBackoffAdversary(_PooledAdversary):
     name = "backoff"
 
     def __init__(self, base_keys: np.ndarray, domain: Domain,
-                 budget: int, seed: int,
-                 pool: "np.ndarray | None" = None, dose: int = 8,
-                 backoff_ticks: int = 2):
-        super().__init__(base_keys, domain, budget, seed, pool=pool)
+                 budget: int, pool: "np.ndarray | None" = None,
+                 dose: int = 8, backoff_ticks: int = 2):
+        super().__init__(base_keys, domain, budget, pool=pool)
         if dose < 1 or backoff_ticks < 1:
             raise ValueError("dose and backoff_ticks must be >= 1")
         self._dose = int(dose)
@@ -449,8 +460,7 @@ ADVERSARIES: dict[str, type[AdaptiveAdversary]] = {
 
 
 def make_adversary(name: str, base_keys: np.ndarray, domain: Domain,
-                   budget: int, seed: int,
-                   pool: "np.ndarray | None" = None,
+                   budget: int, *, pool: "np.ndarray | None" = None,
                    **kwargs: Any) -> AdaptiveAdversary:
     """Instantiate a registered injection policy.
 
@@ -469,7 +479,7 @@ def make_adversary(name: str, base_keys: np.ndarray, domain: Domain,
             f"{sorted(ADVERSARIES)}") from None
     if issubclass(cls, _PooledAdversary):
         kwargs = {"pool": pool, **kwargs}
-    return cls(base_keys, domain, budget, seed, **kwargs)
+    return cls(base_keys, domain, budget, **kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -87,7 +87,7 @@ class TestAdversaries:
         trace = generate_trace(SPEC)
         for name in ("uniform", "concentrated", "hotshard"):
             adv = make_cluster_adversary(
-                name, trace.base_keys, SPEC.domain(), 40, 17,
+                name, trace.base_keys, SPEC.domain(), 40,
                 victim_range=SPEC.tenant_ranges()[0])
             _, sim = build(adversary=adv)
             report = sim.run()
@@ -98,7 +98,7 @@ class TestAdversaries:
         trace = generate_trace(SPEC)
         lo, hi = SPEC.tenant_ranges()[0]
         adv = make_cluster_adversary(
-            "concentrated", trace.base_keys, SPEC.domain(), 40, 17,
+            "concentrated", trace.base_keys, SPEC.domain(), 40,
             victim_range=(lo, hi))
         assert adv._pool.size > 0
         assert (adv._pool >= lo).all() and (adv._pool <= hi).all()
@@ -108,7 +108,7 @@ class TestAdversaries:
         shard_map = ShardMap.balanced(trace.base_keys, 4,
                                       SPEC.domain())
         adv = make_cluster_adversary(
-            "uniform", trace.base_keys, SPEC.domain(), 40, 17,
+            "uniform", trace.base_keys, SPEC.domain(), 40,
             victim_range=SPEC.tenant_ranges()[0])
         counts = shard_map.shard_counts(adv._pool)
         assert (counts > 0).all()
@@ -117,7 +117,7 @@ class TestAdversaries:
         trace = generate_trace(SPEC)
         for name in ("uniform", "concentrated"):
             adv = make_cluster_adversary(
-                name, trace.base_keys, SPEC.domain(), 40, 17,
+                name, trace.base_keys, SPEC.domain(), 40,
                 victim_range=SPEC.tenant_ranges()[0])
             assert np.intersect1d(adv._pool,
                                   trace.base_keys).size == 0, name
@@ -126,13 +126,13 @@ class TestAdversaries:
         trace = generate_trace(SPEC)
         with pytest.raises(ValueError, match="victim range"):
             make_cluster_adversary(
-                "uniform", trace.base_keys, SPEC.domain(), 40, 17,
+                "uniform", trace.base_keys, SPEC.domain(), 40,
                 victim_range=(0, SPEC.domain().hi + 1))
 
     def test_unknown_adversary(self):
         with pytest.raises(ValueError, match="unknown cluster"):
             make_cluster_adversary(
-                "nope", np.asarray([1, 2]), SPEC.domain(), 4, 1,
+                "nope", np.asarray([1, 2]), SPEC.domain(), 4,
                 victim_range=(0, 1))
 
 

@@ -145,7 +145,7 @@ def serving_loop(backend, prepare=None):
     trace = generate_trace(LOOP)
     return serve(trace, backend, prepare, tick_ops=100,
                  adversary=make_adversary("escalate", trace.base_keys,
-                                          LOOP.domain(), 60, 7),
+                                          LOOP.domain(), 60),
                  tuner=TrimAutoTuner(base_threshold=0.12))
 
 
@@ -164,7 +164,7 @@ def cluster(backend, spec=TENANTS, tick_ops=200, managed=False,
     if managed:
         ports.update(
             adversary=make_cluster_adversary(
-                "hotshard", trace.base_keys, spec.domain(), 40, 17,
+                "hotshard", trace.base_keys, spec.domain(), 40,
                 victim_range=spec.tenant_ranges()[0]),
             rebalancer=Rebalancer(cooldown_ticks=0, max_shards=8),
             defense=SloWeightedDefense(spec.tenant_slos(),

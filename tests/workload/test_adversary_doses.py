@@ -114,7 +114,7 @@ def _cluster_observation(tick, base_keys, domain):
 @pytest.mark.parametrize("name", sorted(POLICY_DIGESTS))
 def test_policy_doses(name, world):
     base_keys, domain = world
-    adversary = make_adversary(name, base_keys, domain, 90, 5)
+    adversary = make_adversary(name, base_keys, domain, 90)
     doses = [adversary(_observation(tick)) for tick in range(TICKS)]
     assert _digest(adversary.budget, doses) == POLICY_DIGESTS[name]
 
@@ -123,7 +123,7 @@ def test_policy_doses(name, world):
 def test_placement_doses(name, world):
     base_keys, domain = world
     adversary = make_cluster_adversary(
-        name, base_keys, domain, 60, 17,
+        name, base_keys, domain, 60,
         victim_range=SPEC.tenant_ranges()[0], model_size=100)
     doses = [adversary(_cluster_observation(tick, base_keys, domain))
              for tick in range(TICKS)]
@@ -139,7 +139,7 @@ def test_compromise_faults():
     trace = generate_trace(spec)
     shard_map = ShardMap.balanced(trace.base_keys, 2, spec.domain())
     victim_shard, n_keys, faults = compromise_faults(
-        trace, shard_map, 80, 23, 100)
+        trace, shard_map, 80, 100)
     h = hashlib.sha256(f"{victim_shard};{n_keys};".encode())
     for fault in faults:
         h.update(f"{fault.kind}|{fault.shard}|{fault.replica}|"

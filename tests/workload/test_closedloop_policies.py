@@ -89,11 +89,11 @@ class TestAdversaries:
 
     def test_unknown_adversary_rejected(self, base_keys):
         with pytest.raises(ValueError, match="unknown adversary"):
-            make_adversary("ddos", base_keys, DOMAIN, 10, 1)
+            make_adversary("ddos", base_keys, DOMAIN, 10)
 
     @pytest.mark.parametrize("name", sorted(ADVERSARIES))
     def test_budget_is_a_hard_cap(self, name, base_keys):
-        adversary = make_adversary(name, base_keys, DOMAIN, 37, 5)
+        adversary = make_adversary(name, base_keys, DOMAIN, 37)
         emitted = 0
         for tick in range(20):
             keys = adversary(obs(tick=tick, ticks_total=20,
@@ -104,13 +104,13 @@ class TestAdversaries:
 
     @pytest.mark.parametrize("name", sorted(ADVERSARIES))
     def test_nothing_emitted_at_the_final_tick(self, name, base_keys):
-        adversary = make_adversary(name, base_keys, DOMAIN, 20, 5)
+        adversary = make_adversary(name, base_keys, DOMAIN, 20)
         assert adversary(obs(tick=9, ticks_total=10)) is None
 
     def test_oblivious_paces_evenly_and_ignores_feedback(self,
                                                          base_keys):
         adversary = make_adversary("oblivious", base_keys, DOMAIN,
-                                   36, 5)
+                                   36)
         doses = [adversary(obs(tick=t, ticks_total=10,
                                amplification=float(t)))
                  for t in range(9)]
@@ -120,7 +120,7 @@ class TestAdversaries:
     def test_escalate_doubles_until_target_then_holds(self,
                                                       base_keys):
         adversary = make_adversary("escalate", base_keys, DOMAIN, 200,
-                                   5, target_amplification=1.5)
+                                   target_amplification=1.5)
         below = [adversary(obs(tick=t, ticks_total=30,
                                amplification=1.0)).size
                  for t in range(4)]
@@ -132,7 +132,7 @@ class TestAdversaries:
     def test_escalate_dumps_its_remaining_budget_at_endgame(
             self, base_keys):
         adversary = make_adversary("escalate", base_keys, DOMAIN, 50,
-                                   5, endgame_ticks=2)
+                                   endgame_ticks=2)
         adversary(obs(tick=0, ticks_total=10))
         remaining = adversary.remaining
         dump = adversary(obs(tick=7, ticks_total=10))
@@ -142,7 +142,7 @@ class TestAdversaries:
     def test_backoff_goes_quiet_after_an_observed_retrain(self,
                                                           base_keys):
         adversary = make_adversary("backoff", base_keys, DOMAIN, 100,
-                                   5, dose=8, backoff_ticks=2)
+                                   dose=8, backoff_ticks=2)
         assert adversary(obs(tick=0, ticks_total=30)).size == 8
         assert adversary(obs(tick=1, ticks_total=30,
                              retrains_delta=1)) is None
@@ -152,7 +152,7 @@ class TestAdversaries:
 
     def test_hillclimb_crafts_fresh_unoccupied_keys(self, base_keys):
         adversary = make_adversary("hillclimb", base_keys, DOMAIN, 60,
-                                   5, dose=10)
+                                   dose=10)
         crafted = []
         p95 = 5.0
         for tick in range(5):
@@ -166,7 +166,7 @@ class TestAdversaries:
     def test_pool_override_is_released_verbatim(self, base_keys):
         pool = np.arange(7_000, 7_040, dtype=np.int64)
         adversary = make_adversary("oblivious", base_keys, DOMAIN, 40,
-                                   5, pool=pool)
+                                   pool=pool)
         out = []
         for tick in range(19):
             keys = adversary(obs(tick=tick, ticks_total=20))
@@ -176,7 +176,7 @@ class TestAdversaries:
 
     def test_budget_must_be_positive(self, base_keys):
         with pytest.raises(ValueError, match="budget"):
-            make_adversary("oblivious", base_keys, DOMAIN, 0, 5)
+            make_adversary("oblivious", base_keys, DOMAIN, 0)
 
 
 class TestTrimAutoTuner:

@@ -148,11 +148,11 @@ class TestTunerMonotonicity:
 class TestAdversaryLedgers:
     @settings(max_examples=20, deadline=None)
     @given(name=st.sampled_from(sorted(ADVERSARIES)),
-           budget=st.integers(1, 150), seed=SEEDS,
+           budget=st.integers(1, 150),
            amps=st.lists(st.floats(0.5, 3.0, allow_nan=False),
                          min_size=5, max_size=30))
-    def test_budget_never_exceeded(self, name, budget, seed, amps):
-        adversary = make_adversary(name, BASE, DOMAIN, budget, seed)
+    def test_budget_never_exceeded(self, name, budget, amps):
+        adversary = make_adversary(name, BASE, DOMAIN, budget)
         emitted = 0
         for tick, amp in enumerate(amps):
             keys = adversary(_obs(tick, amp))

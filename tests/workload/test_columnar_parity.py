@@ -112,8 +112,8 @@ class _GuardlessAdversary(AdaptiveAdversary):
 
     name = "guardless"
 
-    def __init__(self, base_keys, domain, budget, seed, per_tick=7):
-        super().__init__(base_keys, domain, budget, seed)
+    def __init__(self, base_keys, domain, budget, per_tick=7):
+        super().__init__(base_keys, domain, budget)
         self._per_tick = per_tick
         self._cursor = int(domain.hi) + 1
 
@@ -134,7 +134,7 @@ class TestPoisonLedger:
         spec = TraceSpec(n_base_keys=400, n_ops=900, seed=11)
         trace = generate_trace(spec)
         adv = _GuardlessAdversary(trace.base_keys, spec.domain(),
-                                  budget=1_000, seed=3)
+                                  budget=1_000)
         report = serve(trace, "rmi", op_by_op if reference else None,
                        tick_ops=200, adversary=adv)
         # The final observation's keys have no tick left to land in.
@@ -148,7 +148,7 @@ class TestPoisonLedger:
         spec = TraceSpec(n_base_keys=400, n_ops=900, seed=11)
         trace = generate_trace(spec)
         adv = make_adversary("oblivious", trace.base_keys,
-                             spec.domain(), 40, 7)
+                             spec.domain(), 40)
         backend = make_backend("rmi", trace.base_keys,
                                rebuild_threshold=0.12)
         report = ServingSimulator(backend, trace, tick_ops=200,
