@@ -152,20 +152,6 @@ def _interior_endpoints_raw(keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _best_candidate_raw(keys: np.ndarray) -> tuple[int, float]:
-    """(best key, loss after) over interior gap endpoints; raw arrays.
-
-    Raises :class:`KeySpaceExhausted` when the interior has no gaps.
-    """
-    candidates = _interior_endpoints_raw(keys)
-    if candidates.size == 0:
-        raise KeySpaceExhausted(
-            "no unoccupied candidate key inside the legitimate key range")
-    losses = _poisoning_losses_raw(keys, candidates)
-    best = int(np.argmax(losses))
-    return int(candidates[best]), float(losses[best])
-
-
 def optimal_single_point(keyset: KeySet,
                          interior_only: bool = True) -> SinglePointResult:
     """Find the poisoning key that maximises the re-trained MSE.
