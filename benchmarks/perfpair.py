@@ -20,11 +20,18 @@ base's quartile spread ``(q3 - q1) / median`` and how many pairs the
 head won, under one verdict:
 
 REGRESSED   the head's median is worse than the base's by more than
-            the bound, and the base's own spread is within the bound;
+            the bound, and either the base's own spread is within the
+            bound or the head lost at least 9 of every 10 pairs (ties
+            count for neither side);
 UNRESOLVED  the head's median is worse by more than the bound, but the
-            base's spread is wider than the bound, so the runs cannot
-            tell a regression from noise;
+            base's spread is wider than the bound and the head lost
+            fewer than 9 of every 10 pairs, so the runs cannot tell a
+            regression from noise;
 ok          anything else.
+
+A noisy base cannot hide a drop the pairs agree on: by chance alone a
+head loses 9 or more of 10 pairs about 1% of the time, and it must
+also read worse than the bound in the median to be REGRESSED.
 
 The exit status is 1 on a REGRESSED row, on a head run that is not
 ``correct: true``, or when the head fails a larger share of its
@@ -110,11 +117,14 @@ def judge(base: list[dict[str, Any]], head: list[dict[str, Any]],
             if higher:
                 worse = head_median < base_median * (1 - bound)
                 won = sum(h > b for b, h in pairs)
+                lost = sum(h < b for b, h in pairs)
             else:
                 worse = head_median > base_median * (1 + bound)
                 won = sum(h < b for b, h in pairs)
+                lost = sum(h > b for b, h in pairs)
+            resolved = spread <= bound or 10 * lost >= 9 * len(pairs)
             verdict = ("ok" if not worse
-                       else "REGRESSED" if spread <= bound
+                       else "REGRESSED" if resolved
                        else "UNRESOLVED")
             rows.append(Row(workload["name"], metric["name"], base_median,
                             head_median, spread, won, len(pairs), verdict))

@@ -51,10 +51,21 @@ def test_tight_halving_of_ops_is_regressed():
     assert ops.won == 0 and ops.pairs == 10
 
 
-def test_wide_base_spread_leaves_the_drop_unresolved():
+def test_wide_base_spread_with_every_pair_lost_is_regressed():
     rows, failures = perfpair.judge(
         runs(WIDE), runs([v / 2 for v in WIDE]), CONFIG)
     assert rows[0].spread > 0.25
+    assert verdicts(rows)["ops_per_s"] == "REGRESSED"
+    assert failures == ["serve-churn ops_per_s REGRESSED"]
+
+
+def test_wide_base_spread_with_eight_pairs_lost_is_unresolved():
+    # Halved except in the first and third pairs, which the head wins.
+    head = [v / 2 for v in WIDE]
+    head[0], head[2] = 600.0, 700.0
+    rows, failures = perfpair.judge(runs(WIDE), runs(head), CONFIG)
+    assert rows[0].spread > 0.25 and rows[0].won == 2
+    assert rows[0].head < 0.75 * rows[0].base
     assert verdicts(rows)["ops_per_s"] == "UNRESOLVED"
     assert failures == []
 
