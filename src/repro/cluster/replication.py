@@ -15,6 +15,13 @@ top.  Semantics:
   q-th-fastest replica answers.  ``read_mode="primary"`` instead
   trusts the lowest-index live replica alone (the naive arm of the
   poisoned-replica duel);
+* **concurrent replicas**: a replay or lookup batch is encoded once,
+  sent to every live replica, and only then are the replies read, in
+  replica order — so the replicas serve it side by side;
+* **stats ride on the replay**: each replica's REPLAY reply carries
+  its post-replay stats, which the scalar surface and the detector
+  read until another request that can change the replica drops them
+  (the next read then polls STATS);
 * **divergence detection**: a poisoned replica serves *valid-looking*
   results, so byte-level checks can't see it — but its error-bound
   series drifts.  :class:`DivergenceDetector` compares each replica's
@@ -43,10 +50,17 @@ from ..workload.trace import OP_INSERT, OP_QUERY, OP_RANGE
 from .router import ClusterRouter
 from .shardmap import ShardMap
 from .transport import (
+    MSG_LOOKUP,
+    MSG_REPLAY,
+    ProtocolError,
     ReplicaDeadError,
+    ShardWorkerError,
     TransportBook,
     TransportConfig,
     WorkerClient,
+    WorkerStats,
+    lookup_request,
+    replay_request,
     spawn_context,
 )
 
@@ -120,6 +134,9 @@ class ReplicaGroup:
                           else DivergenceDetector(divergence,
                                                   n_replicas))
         self._flagged: "list[int]" = []
+        #: Each replica's stats as of its last replay or STATS poll;
+        #: any request that can change a replica drops its entry.
+        self._stats: "dict[int, WorkerStats]" = {}
         self._closed = False
         ctx = ctx if ctx is not None else spawn_context()
         self._replicas = [
@@ -183,35 +200,75 @@ class ReplicaGroup:
             return next((f, p) for r, f, p in rows if r == primary)
         return self._combine([(f, p) for _, f, p in rows])
 
+    # -- fan-out ---------------------------------------------------------
+    @staticmethod
+    def _fan_out(code: int,
+                 requests: "list[tuple[int, WorkerClient, bytes]]",
+                 decode: Any) -> "list[tuple[int, Any]]":
+        """Send every ``(replica, client, body)`` request, then read
+        the replies in replica order; ``decode(client, reply)`` each.
+
+        A replica declared dead on the way drops out.  A worker error
+        or a reply that does not decode is raised only once every
+        other reply owed has been read, so the surviving pipes stay in
+        sequence; the first such error in replica order is raised.
+        """
+        sent = []
+        for i, client, body in requests:
+            try:
+                client.send(code, body)
+            except ReplicaDeadError:
+                continue
+            sent.append((i, client))
+        rows, error = [], None
+        for i, client in sent:
+            try:
+                rows.append((i, decode(client, client.receive())))
+            except ReplicaDeadError:
+                continue
+            except (ShardWorkerError, ProtocolError) as exc:
+                error = error if error is not None else exc
+        if error is not None:
+            raise error
+        return rows
+
     # -- serving surface (mirrors ServingBackend) ----------------------
     def replay_ops(self, kinds: np.ndarray, keys: np.ndarray,
                    aux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         kinds = np.asarray(kinds)
         n_reads = int(((kinds == OP_QUERY)
                        | (kinds == OP_RANGE)).sum())
-        rows = []
+        metrics = self._book.metrics
+        shared = None
+        requests = []
         for i, client in self._live():
-            ek, ekey, eaux = kinds, keys, aux
             poison = self._book.poison_keys(self._shard, i)
             if poison.size:
                 # The compromise channel: extra inserts appended to
                 # this replica's batch only, after the tick's real
                 # ops — reads this tick still agree, the divergence
                 # shows up in the next ticks' error bounds.
-                ek = np.concatenate([
-                    ek, np.full(poison.size, OP_INSERT,
-                                dtype=kinds.dtype)])
-                ekey = np.concatenate([
-                    np.asarray(ekey, dtype=np.int64), poison])
-                eaux = np.concatenate([
-                    np.asarray(eaux, dtype=np.int64),
-                    np.zeros(poison.size, dtype=np.int64)])
-            try:
-                found, probes = client.replay(ek, ekey, eaux)
-            except ReplicaDeadError:
-                continue
-            rows.append((i, found, probes))
-        return self._read_rows(rows, n_reads)
+                body = replay_request(
+                    metrics,
+                    np.concatenate([kinds, np.full(
+                        poison.size, OP_INSERT, dtype=kinds.dtype)]),
+                    np.concatenate([
+                        np.asarray(keys, dtype=np.int64), poison]),
+                    np.concatenate([
+                        np.asarray(aux, dtype=np.int64),
+                        np.zeros(poison.size, dtype=np.int64)]))
+            else:
+                if shared is None:
+                    shared = replay_request(metrics, kinds, keys, aux)
+                body = shared
+            requests.append((i, client, body))
+        self._stats.clear()
+        replies = self._fan_out(MSG_REPLAY, requests,
+                                WorkerClient.replay_reply)
+        self._stats.update((i, stats) for i, (_, _, stats) in replies)
+        return self._read_rows(
+            [(i, found, probes) for i, (found, probes, _) in replies],
+            n_reads)
 
     def lookup_batch(self, keys: np.ndarray,
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -219,14 +276,13 @@ class ReplicaGroup:
         targets = self._live()
         if self._read_mode == "primary" and targets:
             targets = targets[:1]
-        rows = []
-        for i, client in targets:
-            try:
-                found, probes = client.lookup(keys)
-            except ReplicaDeadError:
-                continue
-            rows.append((i, found, probes))
-        return self._read_rows(rows, keys.size)
+        body = lookup_request(self._book.metrics, keys)
+        replies = self._fan_out(
+            MSG_LOOKUP, [(i, client, body) for i, client in targets],
+            lambda client, reply: client.lookup_reply(reply, keys.size))
+        return self._read_rows(
+            [(i, found, probes) for i, (found, probes) in replies],
+            keys.size)
 
     def range_scan(self, lo: int, hi: int) -> int:
         targets = self._live()
@@ -245,6 +301,7 @@ class ReplicaGroup:
         return int(sorted(costs)[len(costs) // 2 + 1 - 1])
 
     def insert_batch(self, keys: np.ndarray) -> None:
+        self._stats.clear()
         for _, client in self._live():
             try:
                 client.insert(keys)
@@ -252,6 +309,7 @@ class ReplicaGroup:
                 continue
 
     def delete_batch(self, keys: np.ndarray) -> None:
+        self._stats.clear()
         for _, client in self._live():
             try:
                 client.delete(keys)
@@ -259,6 +317,7 @@ class ReplicaGroup:
                 continue
 
     def rebuild(self) -> None:
+        self._stats.clear()
         for _, client in self._live():
             try:
                 client.rebuild()
@@ -266,32 +325,41 @@ class ReplicaGroup:
                 continue
 
     # -- scalar surface (primary replica's view) -----------------------
+    def _stats_of(self, replica: int,
+                  client: WorkerClient) -> WorkerStats:
+        """``replica``'s stats as of its last replay, else polled."""
+        stats = self._stats.get(replica)
+        if stats is None:
+            stats = self._stats[replica] = client.stats()
+        return stats
+
+    def _primary_stats(self) -> "WorkerStats | None":
+        live = self._live()
+        return self._stats_of(*live[0]) if live else None
+
     @property
     def n_keys(self) -> int:
-        primary = self._primary()
-        return 0 if primary is None else primary.stats().n_keys
+        stats = self._primary_stats()
+        return 0 if stats is None else stats.n_keys
 
     @property
     def retrain_count(self) -> int:
-        primary = self._primary()
-        return (0 if primary is None
-                else primary.stats().retrain_count)
+        stats = self._primary_stats()
+        return 0 if stats is None else stats.retrain_count
 
     @property
     def pending_updates(self) -> int:
-        primary = self._primary()
-        return (0 if primary is None
-                else primary.stats().pending_updates)
+        stats = self._primary_stats()
+        return 0 if stats is None else stats.pending_updates
 
     @property
     def quarantine_size(self) -> int:
-        primary = self._primary()
-        return (0 if primary is None
-                else primary.stats().quarantine_size)
+        stats = self._primary_stats()
+        return 0 if stats is None else stats.quarantine_size
 
     def error_bound(self) -> float:
-        primary = self._primary()
-        return 0.0 if primary is None else primary.stats().error_bound
+        stats = self._primary_stats()
+        return 0.0 if stats is None else stats.error_bound
 
     def live_keys(self) -> np.ndarray:
         primary = self._primary()
@@ -317,6 +385,7 @@ class ReplicaGroup:
 
     def set_rebuild_threshold(self, threshold: float) -> None:
         self._threshold = threshold
+        self._stats.clear()
         for _, client in self._live():
             try:
                 client.set_rebuild_threshold(threshold)
@@ -325,6 +394,7 @@ class ReplicaGroup:
 
     def set_trim_keep_fraction(self, fraction: "float | None") -> None:
         self._keep = fraction
+        self._stats.clear()
         for _, client in self._live():
             try:
                 client.set_trim_keep_fraction(fraction)
@@ -333,14 +403,14 @@ class ReplicaGroup:
 
     # -- divergence detection ------------------------------------------
     def detect(self) -> "list[int]":
-        """One detector tick: poll live error bounds, quarantine any
+        """One detector tick: read live error bounds, quarantine any
         replica out of band for ``patience`` consecutive ticks."""
         if self._detector is None:
             return []
         bounds = []
         for i, client in self._live():
             try:
-                bounds.append((i, client.stats().error_bound))
+                bounds.append((i, self._stats_of(i, client).error_bound))
             except ReplicaDeadError:
                 continue
         flagged = self._detector.observe(bounds)

@@ -412,7 +412,7 @@ class ClusterSimulator:
             router.set_metrics(self._metrics)
         self._n_tenants = self._spec.n_tenants
         tenants = self._spec.tenant_of(trace.base_keys)
-        self._samples: list[np.ndarray] = []
+        samples: list[np.ndarray] = []
         for tenant in range(self._n_tenants):
             own = trace.base_keys[tenants == tenant]
             rng = np.random.default_rng(stable_seed_words(
@@ -420,21 +420,27 @@ class ClusterSimulator:
                 self._spec.digest))
             size = min(probe_sample_size, own.size)
             if size == 0:  # a tenant with no keys measures nothing
-                self._samples.append(np.empty(0, dtype=np.int64))
+                samples.append(np.empty(0, dtype=np.int64))
             else:
-                self._samples.append(rng.choice(own, size=size,
-                                                replace=False))
+                samples.append(rng.choice(own, size=size,
+                                          replace=False))
+        # Every tenant's sample goes out in one lookup; tenant t's
+        # slice of it ends at _sample_ends[t].
+        self._sample_keys = np.concatenate(samples)
+        self._sample_ends = np.cumsum([s.size for s in samples])
 
     # ------------------------------------------------------------------
-    def _sample_cost(self, tenant: int) -> float:
-        """Mean probes over one tenant's fixed sample (measure only)."""
-        sample = self._samples[tenant]
-        if sample.size == 0:
-            return float("nan")
-        _, probes = self._router.lookup_batch(sample)
+    def _sample_costs(self) -> np.ndarray:
+        """Mean probes over each tenant's fixed sample (measure only;
+        NaN for a tenant without one)."""
+        _, probes = self._router.lookup_batch(self._sample_keys)
         # Measurement lookups must not count as served load.
         self._router.drain_tick_loads()
-        return float(probes.mean())
+        # Lookups are independent per key, so each slice's mean is the
+        # one a lookup of that tenant's sample alone would give.
+        return np.asarray([
+            float(own.mean()) if own.size else float("nan")
+            for own in np.split(probes, self._sample_ends[:-1])])
 
     def _tenants_on_shard(self, lo: int, hi: int) -> np.ndarray:
         """Tenants whose key ranges overlap ``[lo, hi]``."""
@@ -449,8 +455,7 @@ class ClusterSimulator:
         """Replay the whole trace; returns the metrics report."""
         trace, router, spec = self._trace, self._router, self._spec
         initial_digest = router.shard_map.digest
-        baselines = np.asarray(
-            [self._sample_cost(t) for t in range(self._n_tenants)])
+        baselines = self._sample_costs()
         driver = TickDriver(router, trace, self._tick_ops, None,
                             _CLUSTER_SERIES, "cluster", self._metrics)
         series = driver.series
@@ -479,8 +484,9 @@ class ClusterSimulator:
                 if own.size:
                     tenant_p95[tenant] = float(
                         np.percentile(own, 95))
+            costs = self._sample_costs()
             amp = np.asarray(
-                [self._sample_cost(t) / baselines[t]
+                [costs[t] / baselines[t]
                  if math.isfinite(baselines[t]) and baselines[t] > 0
                  else float("nan")
                  for t in range(self._n_tenants)])

@@ -14,7 +14,12 @@ pickled Python objects.  Three layers:
   fails loudly on either side, and a worker-side exception comes back
   as an ERR frame the client re-raises as :class:`ShardWorkerError`
   naming the shard and replica; a reply the client cannot parse is a
-  :class:`ProtocolError` naming the shard, replica and message;
+  :class:`ProtocolError` naming the shard, replica and message.  A
+  REPLAY reply carries the backend's :class:`WorkerStats` after the
+  replay, so a tick needs no STATS round trip; a request is sent
+  (:meth:`WorkerClient.send`) apart from reading its reply
+  (:meth:`WorkerClient.receive`), so a replica group can have every
+  replica working on a batch before it reads any answer;
 * **worker** — :func:`shard_worker_main`, the per-process serve loop
   (build backend from a build spec, then dispatch until SHUTDOWN or
   the parent hangs up), shaped after the per-round server loop of
@@ -29,7 +34,11 @@ pickled Python objects.  Three layers:
 
 Worker processes start through a ``forkserver`` context where the
 platform has one (fork-from-a-threaded-router is unsafe, raw spawn
-pays a fresh interpreter per worker) and fall back to ``spawn``.
+pays a fresh interpreter per worker) and fall back to ``spawn``.  The
+fork server imports this module — numpy and the backend stack with
+it — once, and every worker forks from that; a worker that had to
+import it itself is refused with a :class:`ShardWorkerError` naming
+the preload (see :func:`spawn_context`).
 With injection off the book is pure pass-through — the parity suite
 pins a process-transport cluster bit-identical to the in-process
 router.
@@ -39,6 +48,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing as mp
+import os
 import struct
 import threading
 import time
@@ -84,6 +94,16 @@ __all__ = [
 
 _STATS = struct.Struct("<qqqqddd")
 _REQUEST_NAMES = {code: name for name, code in REQUEST_CODES.items()}
+
+#: The process that imported this module: a worker whose pid differs
+#: was forked from an ancestor that had it loaded (the fork server's
+#: preload), one whose pid matches imported it from scratch.
+_IMPORT_PID = os.getpid()
+#: The directory holding the ``repro`` package.
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+_PRELOAD = "repro.cluster.transport"
+_PRELOAD_LOCK = threading.Lock()
 
 
 class ProtocolError(ContractViolation):
@@ -161,7 +181,8 @@ def _unpack_bool(buf: bytes, off: int) -> tuple[np.ndarray, int]:
 
 @dataclass(frozen=True)
 class WorkerStats:
-    """One STATS reply: the scalar serving surface of a backend."""
+    """The scalar serving surface of a backend: a STATS reply, and
+    the trailer of a REPLAY reply."""
 
     n_keys: int
     retrain_count: int
@@ -178,6 +199,13 @@ class WorkerStats:
                            self.pending_updates, self.quarantine_size,
                            self.error_bound, self.rebuild_threshold,
                            keep)
+
+    @classmethod
+    def of(cls, backend: ServingBackend) -> "WorkerStats":
+        return cls(backend.n_keys, backend.retrain_count,
+                   backend.pending_updates, backend.quarantine_size,
+                   backend.error_bound(), backend.rebuild_threshold,
+                   backend.trim_keep_fraction)
 
     @classmethod
     def unpack(cls, body: bytes) -> "WorkerStats":
@@ -220,7 +248,8 @@ def _dispatch(backend: ServingBackend, code: int,
     if code == MSG_REPLAY:
         kinds, keys, aux = decode_event_batch(body)
         found, probes = backend.replay_ops(kinds, keys, aux)
-        return _pack_bool(found) + _pack_i64(probes)
+        return (_pack_bool(found) + _pack_i64(probes)
+                + WorkerStats.of(backend).pack())
     if code == MSG_LOOKUP:
         keys, _ = _unpack_i64(body, 0)
         found, probes = backend.lookup_batch(keys)
@@ -237,11 +266,7 @@ def _dispatch(backend: ServingBackend, code: int,
         lo, hi = struct.unpack("<qq", body)
         return struct.pack("<q", backend.range_scan(lo, hi))
     if code == MSG_STATS:
-        return WorkerStats(
-            backend.n_keys, backend.retrain_count,
-            backend.pending_updates, backend.quarantine_size,
-            backend.error_bound(), backend.rebuild_threshold,
-            backend.trim_keep_fraction).pack()
+        return WorkerStats.of(backend).pack()
     if code == MSG_LIVE_KEYS:
         return _pack_i64(backend.live_keys())
     if code == MSG_SET_KEEP:
@@ -263,7 +288,8 @@ def _dispatch(backend: ServingBackend, code: int,
 
 def shard_worker_main(conn, build_blob: bytes) -> None:
     """The per-replica serve loop: build, ack, dispatch until told
-    to stop (or until the router hangs up the pipe)."""
+    to stop (or until the router hangs up the pipe).  The ack's body
+    says whether this module came preloaded from an ancestor."""
     try:
         backend = decode_build_spec(build_blob)
     except BaseException as exc:  # surface build failures as the ack
@@ -274,7 +300,8 @@ def shard_worker_main(conn, build_blob: bytes) -> None:
         finally:
             conn.close()
         return
-    conn.send_bytes(_frame(REPLY_OK, 0))
+    conn.send_bytes(_frame(REPLY_OK, 0,
+                           bytes([os.getpid() != _IMPORT_PID])))
     while True:
         try:
             raw = conn.recv_bytes()
@@ -303,7 +330,7 @@ def shard_worker_main(conn, build_blob: bytes) -> None:
 
 
 def spawn_context():
-    """The start method shard workers use.
+    """The start method shard workers use, with its server running.
 
     ``forkserver`` where available: the sweep engine's thread executor
     builds routers in threads, and forking a threaded process can
@@ -311,16 +338,32 @@ def spawn_context():
     fork server stays single-threaded, so its forks are safe *and*
     cheap (one interpreter boot total, preloaded with the backend
     stack, instead of one per worker under ``spawn``).
+
+    The fork server is a fresh interpreter that imports its preload
+    from its own ``sys.path`` and skips a module it cannot import, so
+    this starts it with the directory holding ``repro`` on its
+    ``PYTHONPATH`` — set under a lock (threads build routers too) and
+    restored right after.  A server some other code started earlier,
+    without the preload, stays as it is; its workers then fail their
+    handshake with a :class:`ShardWorkerError` naming the preload.
     """
-    methods = mp.get_all_start_methods()
-    if "forkserver" in methods:
-        ctx = mp.get_context("forkserver")
+    if "forkserver" not in mp.get_all_start_methods():
+        return mp.get_context("spawn")
+    from multiprocessing import forkserver
+    ctx = mp.get_context("forkserver")
+    with _PRELOAD_LOCK:
+        ctx.set_forkserver_preload([_PRELOAD])
+        inherited = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(
+            [_PACKAGE_ROOT] + ([inherited] if inherited else []))
         try:
-            ctx.set_forkserver_preload(["repro.cluster.transport"])
-        except Exception:
-            pass  # server already running: preload is set for good
-        return ctx
-    return mp.get_context("spawn")
+            forkserver.ensure_running()
+        finally:
+            if inherited is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = inherited
+    return ctx
 
 
 # ---------------------------------------------------------------------
@@ -548,6 +591,29 @@ class TransportBook:
 # ---------------------------------------------------------------------
 # Router-side worker proxy
 # ---------------------------------------------------------------------
+def _timed(metrics, name: str, fn, *args):
+    """``fn(*args)``, observed as stage ``name`` when ``metrics`` is
+    attached."""
+    started = time.perf_counter() if metrics is not None else 0.0
+    out = fn(*args)
+    if metrics is not None:
+        metrics.observe(name, time.perf_counter() - started)
+    return out
+
+
+def replay_request(metrics, kinds: np.ndarray, keys: np.ndarray,
+                   aux: np.ndarray) -> bytes:
+    """A REPLAY body: the event batch, encoded once however many
+    replicas it goes to."""
+    return _timed(metrics, "transport.encode", encode_event_batch,
+                  kinds, keys, aux)
+
+
+def lookup_request(metrics, keys: np.ndarray) -> bytes:
+    """A LOOKUP body: the keys."""
+    return _timed(metrics, "transport.encode", _pack_i64, keys)
+
+
 class WorkerClient:
     """One replica's pipe endpoint, with the book's retry policy.
 
@@ -557,6 +623,9 @@ class WorkerClient:
     replica that exhausts ``failover_budget`` attempts is declared
     dead in the book, its process reaped, and
     :class:`ReplicaDeadError` raised for the group to absorb.
+
+    :meth:`call` is :meth:`send` then :meth:`receive`; a caller may
+    send to several clients before it receives from any.
     """
 
     def __init__(self, book: TransportBook, shard: int, replica: int,
@@ -567,6 +636,9 @@ class WorkerClient:
         self._replica = int(replica)
         self._seq = 0
         self._closed = False
+        #: The request in flight: (code, body, attempt, seq, rpc
+        #: start), set by a send and cleared by its receive.
+        self._inflight = None
         ctx = ctx if ctx is not None else spawn_context()
         parent, child = ctx.Pipe()
         blob = encode_build_spec(backend, rebuild_threshold,
@@ -593,6 +665,12 @@ class WorkerClient:
             raise ShardWorkerError(self._shard, (
                 f"replica {self._replica}: "
                 f"{body.decode(errors='replace')}"))
+        if ctx.get_start_method() == "forkserver" and body != b"\x01":
+            self.close()
+            raise ShardWorkerError(self._shard, (
+                f"replica {self._replica}: the fork server did not "
+                f"preload {_PRELOAD}, so the worker imported it "
+                f"itself; start workers through spawn_context()"))
 
     @property
     def shard(self) -> int:
@@ -623,15 +701,18 @@ class WorkerClient:
             f"{_REQUEST_NAMES[code]} reply: {exc}")
 
     def _columns(self, code: int, body: bytes, n: int | None = None,
-                 ) -> tuple[np.ndarray, np.ndarray]:
+                 trailer: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """The found and probes columns of a REPLAY or LOOKUP reply:
-        equally long (``n`` long, when given), ending the body."""
+        equally long (``n`` long, when given), followed by exactly
+        ``trailer`` bytes."""
         try:
             found, off = _unpack_bool(body, 0)
             probes, end = _unpack_i64(body, off)
-            if end != len(body):
-                raise ValueError(f"{len(body) - end} bytes after the "
-                                 "probes column")
+            if len(body) - end != trailer:
+                raise ValueError(
+                    f"{len(body) - end} bytes after the probes column"
+                    + (f", not the {trailer}-byte stats trailer"
+                       if trailer else ""))
             if found.size != probes.size:
                 raise ValueError(f"{found.size} found flags but "
                                  f"{probes.size} probe counts")
@@ -641,13 +722,22 @@ class WorkerClient:
             raise self._malformed(code, exc) from exc
         return found, probes
 
-    def call(self, code: int, body: bytes = b"") -> bytes:
-        book = self._book
-        cfg = book.config
-        if self._closed or book.is_dead(self._shard, self._replica):
+    # -- the attempt loop, in two halves -------------------------------
+    def send(self, code: int, body: bytes = b"") -> None:
+        """Send one request: the attempt loop up to a successful send.
+
+        Injected timeouts and a dead slot are decided here; a replica
+        that spends its budget raises :class:`ReplicaDeadError`.
+        """
+        if self._closed or self._book.is_dead(self._shard,
+                                              self._replica):
             raise ReplicaDeadError(self._shard, self._replica)
+        self._attempt(code, body, 0)
+
+    def _attempt(self, code: int, body: bytes, first: int) -> None:
+        book = self._book
         metrics = book.metrics
-        for attempt in range(cfg.failover_budget):
+        for attempt in range(first, book.config.failover_budget):
             if not book.plan_attempt(self._shard, self._replica,
                                      attempt):
                 if metrics is not None:
@@ -657,70 +747,92 @@ class WorkerClient:
             self._seq += 1
             rpc_started = (time.perf_counter()
                            if metrics is not None else 0.0)
+            self._inflight = (code, body, attempt, seq, rpc_started)
             try:
                 self._conn.send_bytes(_frame(code, seq, body))
-                rcode, rseq, rbody = self._recv(cfg.wall_timeout_s)
-            except (EOFError, OSError, TimeoutError):
-                book.note_trouble(self._shard, self._replica)
-                if metrics is not None:
-                    metrics.inc("transport.retries")
-                    metrics.observe("transport.retry",
-                                    time.perf_counter() - rpc_started)
-                continue  # real failure: worker gone or wedged
-            if metrics is not None:
-                metrics.observe("transport.rpc",
-                                time.perf_counter() - rpc_started)
-                metrics.inc("transport.calls")
-            if rcode == REPLY_ERR:
-                raise ShardWorkerError(
-                    self._shard,
-                    f"replica {self._replica}: "
-                    f"{rbody.decode(errors='replace')}")
-            if rseq != seq:
-                raise ProtocolError(
-                    f"shard {self._shard} replica {self._replica}: "
-                    f"reply seq {rseq} != request seq {seq}")
-            return rbody
+            except (EOFError, OSError):
+                self._trouble(rpc_started)
+                continue  # real failure: worker gone
+            return
+        self._inflight = None
         book.mark_dead(self._shard, self._replica)
         self.close()
         raise ReplicaDeadError(self._shard, self._replica)
 
-    # -- typed wrappers ------------------------------------------------
-    def replay(self, kinds: np.ndarray, keys: np.ndarray,
-               aux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _trouble(self, rpc_started: float) -> None:
+        self._book.note_trouble(self._shard, self._replica)
         metrics = self._book.metrics
-        started = (time.perf_counter()
-                   if metrics is not None else 0.0)
-        payload = encode_event_batch(kinds, keys, aux)
         if metrics is not None:
-            metrics.observe("transport.encode",
-                            time.perf_counter() - started)
-        body = self.call(MSG_REPLAY, payload)
-        started = (time.perf_counter()
-                   if metrics is not None else 0.0)
-        found, probes = self._columns(MSG_REPLAY, body)
+            metrics.inc("transport.retries")
+            metrics.observe("transport.retry",
+                            time.perf_counter() - rpc_started)
+
+    def receive(self) -> bytes:
+        """The reply to the request :meth:`send` sent.
+
+        A worker gone or wedged resumes the attempt loop from the
+        next attempt (resending).  A reply out of sequence — say, one
+        a caller left unread — raises :class:`ProtocolError`, before
+        its code is looked at; a worker-side error raises
+        :class:`ShardWorkerError`.
+        """
+        while True:
+            code, body, attempt, seq, rpc_started = self._inflight
+            try:
+                rcode, rseq, rbody = self._recv(
+                    self._book.config.wall_timeout_s)
+                break
+            except (EOFError, OSError, TimeoutError):
+                self._trouble(rpc_started)
+                self._attempt(code, body, attempt + 1)
+        self._inflight = None
+        metrics = self._book.metrics
         if metrics is not None:
-            metrics.observe("transport.decode",
-                            time.perf_counter() - started)
-        return found, probes
+            metrics.observe("transport.rpc",
+                            time.perf_counter() - rpc_started)
+            metrics.inc("transport.calls")
+        if rseq != seq:
+            raise ProtocolError(
+                f"shard {self._shard} replica {self._replica}: "
+                f"reply seq {rseq} != request seq {seq}")
+        if rcode == REPLY_ERR:
+            raise ShardWorkerError(
+                self._shard,
+                f"replica {self._replica}: "
+                f"{rbody.decode(errors='replace')}")
+        return rbody
+
+    def call(self, code: int, body: bytes = b"") -> bytes:
+        self.send(code, body)
+        return self.receive()
+
+    # -- typed wrappers ------------------------------------------------
+    def replay_reply(self, body: bytes,
+                     ) -> tuple[np.ndarray, np.ndarray, WorkerStats]:
+        """Found, probes and the post-replay stats of a REPLAY reply."""
+        found, probes = _timed(self._book.metrics, "transport.decode",
+                               self._columns, MSG_REPLAY, body, None,
+                               _STATS.size)
+        return found, probes, WorkerStats.unpack(body[-_STATS.size:])
+
+    def lookup_reply(self, body: bytes, n: int,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Found and probes of a LOOKUP reply for ``n`` keys."""
+        return _timed(self._book.metrics, "transport.decode",
+                      self._columns, MSG_LOOKUP, body, n)
+
+    def replay(self, kinds: np.ndarray, keys: np.ndarray,
+               aux: np.ndarray,
+               ) -> tuple[np.ndarray, np.ndarray, WorkerStats]:
+        body = self.call(MSG_REPLAY, replay_request(
+            self._book.metrics, kinds, keys, aux))
+        return self.replay_reply(body)
 
     def lookup(self, keys: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray]:
-        metrics = self._book.metrics
-        started = (time.perf_counter()
-                   if metrics is not None else 0.0)
-        payload = _pack_i64(keys)
-        if metrics is not None:
-            metrics.observe("transport.encode",
-                            time.perf_counter() - started)
-        body = self.call(MSG_LOOKUP, payload)
-        started = (time.perf_counter()
-                   if metrics is not None else 0.0)
-        found, probes = self._columns(MSG_LOOKUP, body, len(keys))
-        if metrics is not None:
-            metrics.observe("transport.decode",
-                            time.perf_counter() - started)
-        return found, probes
+        body = self.call(MSG_LOOKUP, lookup_request(
+            self._book.metrics, keys))
+        return self.lookup_reply(body, len(keys))
 
     def insert(self, keys: np.ndarray) -> None:
         self.call(MSG_INSERT, _pack_i64(keys))

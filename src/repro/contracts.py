@@ -230,7 +230,7 @@ def validate_result(payload: object) -> dict:
 # ---------------------------------------------------------------------
 #: Version byte carried by every frame (and by the build spec).  Bump
 #: on any message-layout change; both sides reject a mismatch.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Frame header: little-endian ``version(u8) code(u8) seq(u64)``.
 FRAME = struct.Struct("<BBQ")
@@ -238,6 +238,7 @@ FRAME = struct.Struct("<BBQ")
 # Request codes — every one must have a worker dispatch arm and a
 # client wrapper; REP007 cross-checks both directions.
 MSG_REPLAY = 1       # body: encoded event batch -> found + probes
+#                      + WorkerStats taken after the replay
 MSG_LOOKUP = 2       # body: i64 keys            -> found + probes
 MSG_INSERT = 3       # body: i64 keys            -> ()
 MSG_DELETE = 4       # body: i64 keys            -> ()
@@ -265,7 +266,9 @@ REQUEST_CODES = {
     "MSG_SHUTDOWN": MSG_SHUTDOWN,
 }
 
-# Reply codes.
+# Reply codes.  A worker's handshake is a REPLY_OK with seq 0 whose
+# body is one byte: 1 when an ancestor (the fork server) imported the
+# transport module, 0 when the worker imported it itself.
 REPLY_OK = 100
 REPLY_ERR = 101      # body: utf-8 "<Type>: <message>"
 

@@ -19,6 +19,7 @@ from repro.cluster.transport import (
     MSG_REPLAY,
     PROTOCOL_VERSION,
     ProtocolError,
+    WorkerStats,
     _frame,
     _parse_frame,
     decode_build_spec,
@@ -125,10 +126,11 @@ class TestWorkerClient:
         kinds = np.full(128, OP_QUERY, dtype=np.int8)
         keys = np.concatenate([queries, misses])
         aux = np.zeros(128, dtype=np.int64)
-        found, probes = client.replay(kinds, keys, aux)
+        found, probes, stats = client.replay(kinds, keys, aux)
         lfound, lprobes = local.replay_ops(kinds, keys, aux)
         assert np.array_equal(found, lfound)
         assert np.array_equal(probes, lprobes)
+        assert stats == WorkerStats.of(local)
         assert client.digest() == local.state_digest()
 
     def test_stats_mirror_the_backend_surface(self, client):

@@ -126,17 +126,22 @@ TWO = np.asarray([10, 12], dtype=np.int64)
      _pack_bool(np.ones(1, bool)) + _pack_i64(np.arange(1)),
      "MSG_LOOKUP"),
     (lambda c: c.replay(np.zeros(2, np.int8), TWO, np.zeros(2, np.int64)),
-     _pack_bool(np.ones(2, bool)) + _pack_i64(np.arange(2)) + b"junk",
+     _pack_bool(np.ones(2, bool)) + _pack_i64(np.arange(2)) + STATS
+     + b"junk",
      "MSG_REPLAY"),
     (lambda c: c.replay(np.zeros(2, np.int8), TWO, np.zeros(2, np.int64)),
-     _pack_bool(np.ones(3, bool)) + _pack_i64(np.arange(2)),
+     _pack_bool(np.ones(3, bool)) + _pack_i64(np.arange(2)) + STATS,
+     "MSG_REPLAY"),
+    # the stats trailer cut short
+    (lambda c: c.replay(np.zeros(2, np.int8), TWO, np.zeros(2, np.int64)),
+     _pack_bool(np.ones(2, bool)) + _pack_i64(np.arange(2)) + STATS[:-1],
      "MSG_REPLAY"),
     (lambda c: c.live_keys(), _pack_i64(np.arange(3)) + b"junk",
      "MSG_LIVE_KEYS"),
     (lambda c: c.digest(), b"\xff\xfe", "MSG_DIGEST"),
 ), ids=("lookup-trailing", "lookup-unequal", "lookup-short",
-        "replay-trailing", "replay-unequal", "live_keys-trailing",
-        "digest-not-utf8"))
+        "replay-trailing", "replay-unequal", "replay-stats-short",
+        "live_keys-trailing", "digest-not-utf8"))
 def test_inconsistent_body_names_slot_and_message(client, monkeypatch,
                                                   call, body, message):
     monkeypatch.setattr(client, "_conn", StubPipe(ok_body(body)))
