@@ -121,7 +121,8 @@ def test_replica_killed_between_ticks_is_declared_dead():
     def start_tick(tick):
         if tick == 2:  # after tick 1 closed, before tick 2 replays
             os.kill(victim._process.pid, signal.SIGKILL)
-            victim._process.join()
+            victim._process.join(timeout=30)
+            assert victim._process.exitcode == -signal.SIGKILL
         opened(tick)
 
     router.start_tick = start_tick
