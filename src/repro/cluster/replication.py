@@ -200,7 +200,7 @@ class ReplicaGroup:
             return next((f, p) for r, f, p in rows if r == primary)
         return self._combine([(f, p) for _, f, p in rows])
 
-    # -- fan-out ---------------------------------------------------------
+    # -- fan-out -------------------------------------------------------
     @staticmethod
     def _fan_out(code: int,
                  requests: "list[tuple[int, WorkerClient, bytes]]",
