@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["BatchProbeResult", "BatchLookupResult",
-           "windowed_search_batch", "side_table_search"]
+           "windowed_search_batch", "side_table_search", "merge_disjoint"]
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,22 @@ def side_table_search(side: np.ndarray, queries: np.ndarray,
     found[miss[hit]] = True
     if positions is not None:
         positions[miss[hit]] = offset + probe.positions[hit]
+
+
+def merge_disjoint(*parts: np.ndarray) -> np.ndarray:
+    """One sorted array from sorted, unique, pairwise-disjoint parts.
+
+    The array ``np.sort(np.concatenate(parts))`` and ``union1d``
+    return on such parts — what a retrain folds its side tables into
+    — without re-sorting them: each later part is inserted at its
+    ``searchsorted`` slots, one memmove per part.
+    """
+    merged = parts[0]
+    for part in parts[1:]:
+        if part.size:
+            merged = np.insert(merged, np.searchsorted(merged, part),
+                               part)
+    return merged
 
 
 def windowed_search_batch(sorted_keys: np.ndarray, queries: np.ndarray,

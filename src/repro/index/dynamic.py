@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from ..data.keyset import KeySet
-from .batch import BatchLookupResult, side_table_search
+from .batch import BatchLookupResult, merge_disjoint, side_table_search
 from .rmi import LookupResult, RecursiveModelIndex
 
 __all__ = ["DynamicLearnedIndex"]
@@ -245,8 +245,9 @@ class DynamicLearnedIndex:
             self._merge_and_retrain()
 
     def _merge_and_retrain(self) -> None:
-        merged = np.sort(np.concatenate(
-            [self._base, self._delta, self._quarantine]))
+        # Base, buffer and quarantine are sorted and pairwise disjoint
+        # (every insert is checked absent from all three first).
+        merged = merge_disjoint(self._base, self._delta, self._quarantine)
         self._delta = _NO_KEYS
         if self._sanitizer is not None:
             kept = np.sort(np.asarray(self._sanitizer(merged),

@@ -177,19 +177,29 @@ class RecursiveModelIndex:
     @staticmethod
     def _fit_second_stage(keys: np.ndarray, assignment: np.ndarray,
                           n_models: int) -> tuple[SecondStageModel, ...]:
-        """Fit one linear model per expert on (key, global position)."""
-        positions = np.arange(keys.size, dtype=np.float64)
+        """Fit one linear model per expert on (key, global position).
+
+        One grouping pass: a stable argsort of ``assignment`` lines
+        each expert's keys up contiguously in their original order, so
+        every expert fits the same values in the same order as a
+        per-expert mask would select.
+        """
+        order = np.argsort(assignment, kind="stable")
+        bounds = np.searchsorted(assignment[order],
+                                 np.arange(n_models + 1))
+        grouped_keys = keys[order].astype(np.float64)
+        grouped_pos = order.astype(np.float64)
         models = []
         for j in range(n_models):
-            mask = assignment == j
-            count = int(mask.sum())
+            lo, hi = int(bounds[j]), int(bounds[j + 1])
+            count = hi - lo
             if count == 0:
                 # An expert that serves no key predicts nothing; give
                 # it a degenerate model with an empty window.
                 models.append(SecondStageModel(0.0, 0.0, 0, 0, 0, 0.0))
                 continue
-            sub_keys = keys[mask].astype(np.float64)
-            sub_pos = positions[mask]
+            sub_keys = grouped_keys[lo:hi]
+            sub_pos = grouped_pos[lo:hi]
             mk, mp = sub_keys.mean(), sub_pos.mean()
             dk = sub_keys - mk
             var = float(dk @ dk)

@@ -29,12 +29,15 @@ op slice (reads and mutations interleaved) with vectorized
 classification and batched window searches while firing every rebuild
 at the same op index the one-key-at-a-time feed would — the columnar
 fast path, pinned bit-identical to the op-by-op oracle of
-``tests/replay_oracle.py``.  ``linear``, ``rmi`` and ``dynamic`` share
-one segment loop, ``ServingBackend._replay_columnar``, and differ only
-in its hooks (``dynamic``'s carry its two crossings: the index's
-retrain at a fresh insert, the tombstone fold at a delete).
-``binary`` walks read chunks over its one array; hazard slices and the
-B-Tree replay on ``_replay_scalar``, a walk over sub-ops.
+``tests/replay_oracle.py``.  ``binary``, ``linear``, ``rmi`` and
+``dynamic`` share one segment loop, ``ServingBackend._replay_columnar``,
+and differ only in its hooks (``dynamic``'s carry its two crossings:
+the index's retrain at a fresh insert, the tombstone fold at a delete;
+``binary`` has no model, and its one array is its one side table).
+A rebuild-free segment costs one model lookup, one read adjustment —
+each read against the side tables as they stood at its op — and one
+apply of its effects.  Hazard slices and the B-Tree replay on
+``_replay_scalar``, a walk over sub-ops.
 Probe counts always reflect the *actual* searches performed —
 model + delta + quarantine — so a swollen side table or a poisoned
 retrain shows up in the latency percentiles honestly.
@@ -67,7 +70,7 @@ import time
 import numpy as np
 
 from ..defense.trim import trim_cdf
-from ..index.batch import side_table_search, windowed_search_batch
+from ..index.batch import merge_disjoint, side_table_search
 from ..index.btree import BTree
 from ..index.dynamic import DynamicLearnedIndex
 from ..index.linear_index import LinearLearnedIndex
@@ -79,19 +82,28 @@ from .columnar import (
     EFF_NOOP,
     EFF_REVIVE,
     EFF_TOMB,
+    SideTable,
     TickOps,
     decompose_ops,
     first_occurrence,
+    search_probes,
     sorted_insert,
     sorted_insert_unique,
     sorted_member,
     sorted_remove,
     sorted_remove_present,
+    table_moves,
 )
 
 __all__ = ["BACKENDS", "ServingBackend", "make_backend",
            "BinarySearchBackend", "BTreeBackend", "LinearBackend",
            "RMIBackend", "DynamicBackend"]
+
+
+def _without(keys: np.ndarray, drop: np.ndarray) -> np.ndarray:
+    """``setdiff1d(keys, drop)`` for a sorted unique ``keys``, without
+    the re-sort."""
+    return keys[~sorted_member(drop, keys)]
 
 
 def _trim_sanitizer(keep_fraction: float):
@@ -112,7 +124,8 @@ class ServingBackend:
     current model).  This base class owns the delta buffer, tombstone
     set, quarantine list, and the rebuild/compaction cycle — identical
     bookkeeping for every backend, so grid cells differ only in the
-    structure under test.
+    structure under test.  ``_side_tables`` declares what a read
+    consults after the model, in order.
     """
 
     name = "abstract"
@@ -266,10 +279,12 @@ class ServingBackend:
         screen: snapshot minus tombstones, plus the delta buffer and
         the quarantine list.  A cluster router splitting or merging
         shards rebuilds the replacement backends from this export.
+        The parts are sorted, unique and pairwise disjoint (tombstones
+        sit in the snapshot; delta and quarantine hold no model key),
+        so they merge without a re-sort.
         """
-        return np.union1d(
-            np.setdiff1d(self._snapshot, self._tombs),
-            np.union1d(self._delta, self._quarantine))
+        return merge_disjoint(_without(self._snapshot, self._tombs),
+                              self._delta, self._quarantine)
 
     def _digest_parts(self) -> "tuple[np.ndarray, ...]":
         """The state arrays :meth:`state_digest` hashes, in order."""
@@ -296,11 +311,12 @@ class ServingBackend:
 
     def lookup_batch(self, keys: np.ndarray,
                      ) -> tuple[np.ndarray, np.ndarray]:
-        """(found, probes) per query over model + side tables."""
+        """(found, probes) per query over model + side tables: the
+        segment body's reads with no effect interleaved."""
         keys = np.asarray(keys, dtype=np.int64)
-        found, probes = self._model_lookup(keys)
-        found = np.asarray(found, dtype=bool).copy()
-        probes = np.asarray(probes, dtype=np.int64).copy()
+        found = np.empty(keys.size, dtype=bool)
+        probes = np.empty(keys.size, dtype=np.int64)
+        found[:], probes[:] = self._model_lookup(keys)
         self._adjust_reads(keys, found, probes)
         return found, probes
 
@@ -472,47 +488,29 @@ class ServingBackend:
                        eff: np.ndarray, sub_key: np.ndarray,
                        sub_pos: np.ndarray, found_out: np.ndarray,
                        probes_out: np.ndarray) -> None:
-        """One rebuild-free segment: model-batch all its reads at
-        once (the model is fixed between rebuilds), then walk the
-        reads in chunks that share a mutation prefix, bulk-applying
-        side-table effects between chunks."""
-        if r_end <= r:
-            self._apply_effects(eff, sub_key)
-            return
-        metrics = self._metrics
-        keys = ops.read_keys[r:r_end]
-        started = time.perf_counter() if metrics is not None else 0.0
-        found, probes = self._model_lookup(keys)
-        if metrics is not None:
-            metrics.observe("columnar.model_lookup",
-                            time.perf_counter() - started)
-        found = np.asarray(found, dtype=bool).copy()
-        probes = np.asarray(probes, dtype=np.int64).copy()
-        kprefix = np.searchsorted(sub_pos, ops.read_pos[r:r_end])
-        cuts = np.nonzero(np.diff(kprefix))[0] + 1
-        starts = np.concatenate([np.zeros(1, dtype=np.int64), cuts])
-        ends = np.concatenate([cuts, np.asarray([kprefix.size],
-                                                dtype=np.int64)])
-        done = 0
-        adjust_seconds = 0.0
-        for cs, ce in zip(starts, ends):
-            upto = int(kprefix[cs])
-            if upto > done:
-                self._apply_effects(eff[done:upto],
-                                    sub_key[done:upto])
-                done = upto
+        """One rebuild-free segment: one model lookup for all its reads
+        (the model is fixed between rebuilds), one adjustment that
+        answers each read against the side tables as they stood at its
+        op, then one apply of the segment's effects."""
+        if r_end > r:
+            metrics = self._metrics
+            keys = ops.read_keys[r:r_end]
+            found = found_out[r:r_end]
+            probes = probes_out[r:r_end]
             started = (time.perf_counter() if metrics is not None
                        else 0.0)
-            self._adjust_reads(keys[cs:ce], found[cs:ce],
-                               probes[cs:ce])
+            found[:], probes[:] = self._model_lookup(keys)
             if metrics is not None:
-                adjust_seconds += time.perf_counter() - started
-        if eff.size > done:
-            self._apply_effects(eff[done:], sub_key[done:])
-        if metrics is not None:
-            metrics.observe("columnar.adjust", adjust_seconds)
-        found_out[r:r_end] = found
-        probes_out[r:r_end] = probes
+                metrics.observe("columnar.model_lookup",
+                                time.perf_counter() - started)
+                started = time.perf_counter()
+            upto = np.searchsorted(sub_pos, ops.read_pos[r:r_end])
+            self._adjust_reads(keys, found, probes,
+                               (eff, sub_key, upto) if eff.size else None)
+            if metrics is not None:
+                metrics.observe("columnar.adjust",
+                                time.perf_counter() - started)
+        self._apply_effects(eff, sub_key)
 
     def _classify_mutations(self, sub_ins: np.ndarray,
                             sub_key: np.ndarray) -> np.ndarray:
@@ -574,22 +572,54 @@ class ServingBackend:
             self._quarantine = sorted_remove_present(
                 self._quarantine, drop_q)
 
+    def _side_tables(self) -> tuple[SideTable, ...]:
+        """What a read consults after the model, in lookup order:
+        tombstones, delta, quarantine."""
+        return (SideTable(self._tombs, EFF_TOMB, EFF_REVIVE,
+                          tombstones=True),
+                SideTable(self._delta, EFF_FRESH, EFF_DROP_DELTA),
+                SideTable(self._quarantine, leaves=EFF_DROP_QUAR))
+
     def _adjust_reads(self, keys: np.ndarray, found: np.ndarray,
-                      probes: np.ndarray) -> None:
+                      probes: np.ndarray,
+                      effects: "tuple[np.ndarray, ...] | None" = None,
+                      ) -> None:
         """A read's steps after the model, in place on ``found`` and
-        ``probes`` (a whole batch, or one chunk's slices): tombstones,
-        delta, quarantine."""
-        if self._tombs.size:
-            # Tombstoned keys still sit in the model; membership says
-            # no.  The searchsorted check stands in for the O(1)
-            # bitmap a real system would consult, costing one probe.
-            idx = np.minimum(np.searchsorted(self._tombs, keys),
-                             self._tombs.size - 1)
-            dead = found & (self._tombs[idx] == keys)
-            probes[found] += 1
-            found[dead] = False
-        side_table_search(self._delta, keys, found, probes)
-        side_table_search(self._quarantine, keys, found, probes)
+        ``probes``: each side table in lookup order, as it stood at
+        the read's op.  ``effects`` is a segment's ``(eff, sub_key,
+        upto)``, ``upto`` counting the sub-ops before each read; a
+        table none of them touches is consulted as it stands."""
+        for table in self._side_tables():
+            moves = (None if effects is None
+                     else table_moves(table, *effects))
+            if table.tombstones:
+                # Tombstoned keys still sit in the model; membership
+                # says no.  The check stands in for the O(1) bitmap a
+                # real system would consult, costing one probe.
+                if moves is None and table.keys.size == 0:
+                    continue
+                hits = np.nonzero(found)[0]
+                queries = keys[hits]
+                if moves is None:
+                    live = hits
+                    dead = sorted_member(table.keys, queries)
+                else:
+                    before = moves.before[hits]
+                    live = hits[moves.sizes(table, before) > 0]
+                    dead = moves.members(table, queries, before)
+                probes[live] += 1
+                found[hits[dead]] = False
+            elif moves is None:
+                side_table_search(table.keys, keys, found, probes)
+            else:
+                misses = np.nonzero(~found)[0]
+                queries = keys[misses]
+                before = moves.before[misses]
+                member = moves.members(table, queries, before)
+                probes[misses] += search_probes(
+                    moves.sizes(table, before),
+                    moves.ranks(table, queries, before), member)
+                found[misses[member]] = True
 
 
 class BinarySearchBackend(ServingBackend):
@@ -597,6 +627,9 @@ class BinarySearchBackend(ServingBackend):
 
     Inserts merge directly into the array (no model to stale-out), so
     there is never a rebuild and poisoning can only grow ``log2 n``.
+    In the segment loop the array is the one side table every read
+    searches: a fresh insert enters it, a delete leaves it, and no
+    sub-op crosses anything.
     """
 
     name = "binary"
@@ -606,62 +639,33 @@ class BinarySearchBackend(ServingBackend):
         pass  # the snapshot array IS the structure
 
     def insert_batch(self, keys: np.ndarray) -> None:
-        keys = np.asarray(keys, dtype=np.int64)
-        self._tombs = np.setdiff1d(self._tombs, keys)
-        self._snapshot = np.union1d(self._snapshot, keys)
-
-    def delete_batch(self, keys: np.ndarray) -> None:
-        self._snapshot = np.setdiff1d(
+        self._snapshot = sorted_insert(
             self._snapshot, np.asarray(keys, dtype=np.int64))
 
-    def _replay_columnar(self, ops: TickOps, found_out: np.ndarray,
-                         probes_out: np.ndarray) -> None:
-        """No side tables and no rebuilds here — the snapshot array
-        is the whole structure — so the replay is one chunk walk:
-        bulk-merge the mutations between reads, serve each read chunk
-        against the current array."""
-        if self._tombs.size or self._delta.size \
-                or self._quarantine.size:
-            # Never populated by this backend's own surface; replay
-            # scalar if a caller somehow seeded them.
-            self._replay_scalar(ops, found_out, probes_out)
-            return
-        if ops.read_pos.size == 0:
-            self._snapshot = sorted_insert(
-                sorted_remove(self._snapshot,
-                              ops.sub_key[~ops.sub_ins]),
-                ops.sub_key[ops.sub_ins])
-            return
-        kprefix = np.searchsorted(ops.sub_pos, ops.read_pos)
-        cuts = np.nonzero(np.diff(kprefix))[0] + 1
-        starts = np.concatenate([np.zeros(1, dtype=np.int64), cuts])
-        ends = np.concatenate([cuts, np.asarray([kprefix.size],
-                                                dtype=np.int64)])
-        done = 0
+    def delete_batch(self, keys: np.ndarray) -> None:
+        self._snapshot = sorted_remove(
+            self._snapshot, np.asarray(keys, dtype=np.int64))
 
-        def apply(lo: int, hi: int) -> None:
-            keys = ops.sub_key[lo:hi]
-            ins = ops.sub_ins[lo:hi]
-            self._snapshot = sorted_insert(
-                sorted_remove(self._snapshot, keys[~ins]), keys[ins])
+    def _side_tables(self) -> tuple[SideTable, ...]:
+        # The shared classifier calls a delete of a snapshot key a
+        # tombstone; here it takes the key out of the array.
+        return (SideTable(self._snapshot, EFF_FRESH, EFF_TOMB),)
 
-        for cs, ce in zip(starts, ends):
-            upto = int(kprefix[cs])
-            if upto > done:
-                apply(done, upto)
-                done = upto
-            f, p = self.lookup_batch(ops.read_keys[cs:ce])
-            found_out[cs:ce] = f
-            probes_out[cs:ce] = p
-        if ops.sub_key.size > done:
-            apply(done, int(ops.sub_key.size))
+    def _crossings(self, eff: np.ndarray,
+                   sub_ins: np.ndarray) -> np.ndarray:
+        return np.zeros(eff.size, dtype=bool)
+
+    def _apply_effects(self, eff: np.ndarray,
+                       sub_key: np.ndarray) -> None:
+        self._snapshot = sorted_insert_unique(
+            sorted_remove_present(self._snapshot,
+                                  sub_key[eff == EFF_TOMB]),
+            sub_key[eff == EFF_FRESH])
 
     def _model_lookup(self, keys: np.ndarray):
-        n = self._snapshot.size
-        lo = np.zeros(keys.size, dtype=np.int64)
-        hi = np.full(keys.size, n - 1, dtype=np.int64)
-        probe = windowed_search_batch(self._snapshot, keys, lo, hi)
-        return probe.found, probe.probes
+        # No model: every read goes on to the one side table.
+        return (np.zeros(keys.size, dtype=bool),
+                np.zeros(keys.size, dtype=np.int64))
 
     def _model_error_bound(self) -> float:
         return float(np.ceil(np.log2(max(self._snapshot.size, 2))))
@@ -765,8 +769,8 @@ class DynamicBackend(ServingBackend):
     hooks encode three rules.  Deletes only tombstone.  Two crossings
     end a segment: a fresh insert reaching ``delta >= θ·base`` (the
     index's retrain) and any delete reaching ``tombs >= θ·max(n_keys,
-    1)`` (the tombstone fold).  Reads are adjusted delta, quarantine,
-    then tombstones.
+    1)`` (the tombstone fold).  Reads consult delta, quarantine, then
+    tombstones.
     """
 
     name = "dynamic"
@@ -818,14 +822,14 @@ class DynamicBackend(ServingBackend):
         self._index.set_sanitizer(self._sanitizer)
 
     def live_keys(self) -> np.ndarray:
-        # The dynamic index owns its own side tables; the shared
-        # snapshot/delta fields are not authoritative here.
-        return np.setdiff1d(
-            np.sort(np.concatenate([
-                self._index.rmi.store.keys,
-                self._index.delta_keys,
-                self._index.quarantine_keys])),
-            self._tombs)
+        # The dynamic index owns its own side tables (sorted, pairwise
+        # disjoint); the shared snapshot/delta fields are not
+        # authoritative here.
+        index = self._index
+        return _without(merge_disjoint(index.rmi.store.keys,
+                                       index.delta_keys,
+                                       index.quarantine_keys),
+                        self._tombs)
 
     def _digest_parts(self) -> "tuple[np.ndarray, ...]":
         # Same ownership rule as live_keys: hash the index's own side
@@ -923,17 +927,11 @@ class DynamicBackend(ServingBackend):
                                   sub_key[eff == EFF_REVIVE]),
             sub_key[eff == EFF_TOMB])
 
-    def _adjust_reads(self, keys: np.ndarray, found: np.ndarray,
-                      probes: np.ndarray) -> None:
-        side_table_search(self._index.delta_keys, keys, found, probes)
-        side_table_search(self._index.quarantine_keys, keys, found,
-                          probes)
-        if self._tombs.size:
-            idx = np.minimum(np.searchsorted(self._tombs, keys),
-                             self._tombs.size - 1)
-            dead = found & (self._tombs[idx] == keys)
-            probes[found] += 1
-            found[dead] = False
+    def _side_tables(self) -> tuple[SideTable, ...]:
+        return (SideTable(self._index.delta_keys, enters=EFF_FRESH),
+                SideTable(self._index.quarantine_keys),
+                SideTable(self._tombs, EFF_TOMB, EFF_REVIVE,
+                          tombstones=True))
 
 
 BACKENDS: dict[str, type[ServingBackend]] = {

@@ -17,7 +17,10 @@ once; this module holds its backend-agnostic machinery:
 * :func:`sorted_insert`, :func:`sorted_remove` — ``union1d`` /
   ``setdiff1d`` on an already-sorted-unique array without the
   re-sort, so side tables stay bit-identical to the scalar arrays at
-  a fraction of the cost.
+  a fraction of the cost;
+* :class:`SideTable`, :func:`table_moves`, :func:`search_probes` —
+  a segment's reads answered against each side table *as it stood at
+  the read's op*, while the segment's effects are applied once.
 
 Equivalence contract
 --------------------
@@ -26,10 +29,12 @@ not depend on *earlier sub-ops of the other kind* in the same slice:
 :attr:`TickOps.hazard` detects a key that is both inserted and
 deleted in one slice, and every backend falls back to the per-sub-op
 scalar walk for such slices.  Everything else — first-occurrence
-rules, threshold-crossing splits, chunked read adjustment — is pinned
-bit-identical to the op-by-op oracle of ``tests/replay_oracle.py`` by
-the parity suites (``tests/*/test*_columnar_parity.py``); inside a
-backend, ``ServingBackend._replay_scalar`` is that walk over sub-ops.
+rules, threshold-crossing splits, the as-of read adjustment — is
+pinned bit-identical to the op-by-op oracle of
+``tests/replay_oracle.py`` by the parity suites
+(``tests/*/test*_columnar_parity.py``) and the as-of property of
+``tests/workload/test_segment_body.py``; inside a backend,
+``ServingBackend._replay_scalar`` is that walk over sub-ops.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from ..contracts import (
     WIRE_VERSION,
     ContractViolation,
 )
+from ..index.batch import windowed_search_batch
 from .trace import (
     OP_DELETE,
     OP_INSERT,
@@ -57,6 +63,8 @@ __all__ = [
     "TickOps", "decompose_ops", "sorted_member", "first_occurrence",
     "sorted_insert", "sorted_remove",
     "sorted_insert_unique", "sorted_remove_present",
+    "SideTable", "TableMoves", "table_moves", "prefix_less_sums",
+    "search_probes",
     "EFF_NOOP", "EFF_REVIVE", "EFF_FRESH", "EFF_DROP_DELTA",
     "EFF_DROP_QUAR", "EFF_TOMB",
     "WIRE_VERSION", "encode_event_batch", "decode_event_batch",
@@ -266,3 +274,136 @@ def sorted_remove_present(arr: np.ndarray,
     if values.size == 0:
         return arr
     return np.delete(arr, np.searchsorted(arr, values))
+
+
+# ----------------------------------------------------------------------
+# Reads against the side tables as they stood at each read's op
+# ----------------------------------------------------------------------
+class SideTable(NamedTuple):
+    """One side table a read consults after the model.
+
+    ``keys`` is the sorted table at segment start; ``enters`` and
+    ``leaves`` are the ``EFF_*`` codes that move a key into and out of
+    it (``None``: no effect does).  A ``tombstones`` table is a
+    membership bitmap: one probe per model hit while it is non-empty,
+    and a member turns the hit into a miss.  Any other table is
+    binary-searched by the reads still missing, and a member turns the
+    miss into a hit.
+    """
+
+    keys: np.ndarray
+    enters: int | None = None
+    leaves: int | None = None
+    tombstones: bool = False
+
+
+class TableMoves(NamedTuple):
+    """A segment's moves into (``sign`` +1) and out of (−1) one side
+    table, in op order, and per read how many of them precede it.
+
+    In a hazard-free segment a key has at most one effect, so each of
+    a read's three facts about the table at its op — size, the query's
+    rank, membership — is a prefix count over these moves.
+    """
+
+    keys: np.ndarray
+    sign: np.ndarray
+    before: np.ndarray
+
+    def sizes(self, table: SideTable, before: np.ndarray) -> np.ndarray:
+        """The table's size at each read."""
+        moved = np.zeros(self.sign.size + 1, dtype=np.int64)
+        np.cumsum(self.sign, out=moved[1:])
+        return table.keys.size + moved[before]
+
+    def members(self, table: SideTable, queries: np.ndarray,
+                before: np.ndarray) -> np.ndarray:
+        """Each query's membership at its read: a moved key's
+        membership flips once its move precedes the read."""
+        order = np.argsort(self.keys)
+        moved = self.keys[order]
+        i = np.minimum(np.searchsorted(moved, queries), moved.size - 1)
+        flipped = (moved[i] == queries) & (order[i] < before)
+        return sorted_member(table.keys, queries) ^ flipped
+
+    def ranks(self, table: SideTable, queries: np.ndarray,
+              before: np.ndarray) -> np.ndarray:
+        """Table keys below each query at its read."""
+        return (np.searchsorted(table.keys, queries)
+                + prefix_less_sums(self.keys, self.sign, before, queries))
+
+
+def table_moves(table: SideTable, eff: np.ndarray, sub_key: np.ndarray,
+                upto: np.ndarray) -> TableMoves | None:
+    """The moves of ``table`` among a segment's effects, given per read
+    the count ``upto`` of sub-ops before it; ``None`` when no effect
+    touches the table."""
+    sign = np.zeros(eff.size, dtype=np.int64)
+    if table.enters is not None:
+        sign[eff == table.enters] = 1
+    if table.leaves is not None:
+        sign[eff == table.leaves] = -1
+    at = np.nonzero(sign)[0]
+    if at.size == 0:
+        return None
+    return TableMoves(sub_key[at], sign[at], np.searchsorted(at, upto))
+
+
+#: Up to this many (value, query) pairs, :func:`prefix_less_sums`
+#: compares them all at once; the block path's fixed cost is higher.
+_BROADCAST_PAIRS = 1 << 16
+
+
+def prefix_less_sums(values: np.ndarray, weights: np.ndarray,
+                     upto: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """``weights[:u][values[:u] < q].sum()`` for each pair ``(u, q)``
+    of ``upto`` and ``queries``, in O(n + m) memory.
+
+    Small inputs compare every pair at once.  Otherwise each prefix
+    ``[0, u)`` splits into aligned power-of-two blocks, one per set
+    bit of ``u``: per block width, one sort orders the values inside
+    their blocks, and one ``searchsorted`` of the query's rank gives
+    every query whose ``u`` has that bit its block's sum.
+    """
+    n = values.size
+    if n * queries.size <= _BROADCAST_PAIRS:
+        pairs = ((values < queries[:, None])
+                 & (np.arange(n) < upto[:, None]))
+        return pairs @ weights
+    out = np.zeros(queries.size, dtype=np.int64)
+    ordered = np.sort(values)
+    value_rank = np.searchsorted(ordered, values)
+    query_rank = np.searchsorted(ordered, queries)
+    span = n + 1
+    width = 1
+    while width <= n:
+        has = np.nonzero(upto & width)[0]
+        if has.size:
+            blocked = np.arange(n) // width * span + value_rank
+            order = np.argsort(blocked)
+            summed = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(weights[order], out=summed[1:])
+            block = upto[has] // width - 1
+            ends = np.searchsorted(blocked[order],
+                                   block * span + query_rank[has])
+            out[has] += summed[ends] - summed[block * width]
+        width *= 2
+    return out
+
+
+def search_probes(size: np.ndarray, rank: np.ndarray,
+                  member: np.ndarray) -> np.ndarray:
+    """Probes of a full-range binary search, per query, in a sorted
+    table of ``size`` keys for a key of ``rank`` (its count of smaller
+    table keys) that is or is not a ``member``.
+
+    The path depends on nothing else, so it is walked over the virtual
+    table ``0, 2, 4, ...`` for ``2·rank`` (a member) or ``2·rank − 1``
+    (not): same comparisons, so :func:`windowed_search_batch` counts
+    exactly the probes a search of the real table would.
+    """
+    virtual = np.arange(0, 2 * int(size.max(initial=0)), 2)
+    target = np.where(member, 2 * rank, 2 * rank - 1)
+    return windowed_search_batch(virtual, target,
+                                 np.zeros(size.size, dtype=np.int64),
+                                 size - 1).probes
