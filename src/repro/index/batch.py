@@ -136,7 +136,8 @@ def windowed_search_batch(sorted_keys: np.ndarray, queries: np.ndarray,
         # pass costs ~a dozen array ops to advance each query one
         # comparison, so below ~16 queries the interpreted loop —
         # the *same* midpoint sequence and early exit — is faster.
-        # This is the per-chunk shape of the columnar replay path.
+        # This is the shape of single-key lookups (range endpoints,
+        # op-by-op replays) and of a short segment's side-table misses.
         for i, (query, low, high) in enumerate(
                 zip(queries.tolist(), lo.tolist(), hi.tolist())):
             cost = 0

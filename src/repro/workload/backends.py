@@ -504,9 +504,11 @@ class ServingBackend:
                 metrics.observe("columnar.model_lookup",
                                 time.perf_counter() - started)
                 started = time.perf_counter()
-            upto = np.searchsorted(sub_pos, ops.read_pos[r:r_end])
-            self._adjust_reads(keys, found, probes,
-                               (eff, sub_key, upto) if eff.size else None)
+            effects = None
+            if eff.size:
+                upto = np.searchsorted(sub_pos, ops.read_pos[r:r_end])
+                effects = (eff, sub_key, upto)
+            self._adjust_reads(keys, found, probes, effects)
             if metrics is not None:
                 metrics.observe("columnar.adjust",
                                 time.perf_counter() - started)
