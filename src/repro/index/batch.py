@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["BatchProbeResult", "BatchLookupResult",
-           "windowed_search_batch", "side_table_search", "merge_disjoint"]
+           "windowed_search_batch", "side_table_search", "merge_disjoint",
+           "drop_sorted"]
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,22 @@ def merge_disjoint(*parts: np.ndarray) -> np.ndarray:
             merged = np.insert(merged, np.searchsorted(merged, part),
                                part)
     return merged
+
+
+def drop_sorted(keys: np.ndarray, drop: np.ndarray) -> np.ndarray:
+    """``setdiff1d(keys, drop)`` for a sorted, unique ``keys``, without
+    the re-sort: the keys of ``drop`` found in ``keys`` are deleted at
+    their ``searchsorted`` slots, one memmove.  ``drop`` may be in any
+    order, repeat, or name absent keys; ``keys`` itself comes back
+    when none of it is present.
+    """
+    if keys.size == 0 or drop.size == 0:
+        return keys
+    slots = np.searchsorted(keys, drop)
+    slots = slots[keys[np.minimum(slots, keys.size - 1)] == drop]
+    if slots.size == 0:
+        return keys
+    return np.delete(keys, slots)
 
 
 def windowed_search_batch(sorted_keys: np.ndarray, queries: np.ndarray,

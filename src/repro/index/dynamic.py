@@ -229,9 +229,7 @@ class DynamicLearnedIndex:
         appends.
         """
         if len(keys):
-            keys = np.sort(keys)
-            self._delta = np.insert(
-                self._delta, np.searchsorted(self._delta, keys), keys)
+            self._delta = merge_disjoint(self._delta, np.sort(keys))
             self._delta.setflags(write=False)
 
     def flush(self) -> None:

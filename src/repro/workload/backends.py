@@ -70,7 +70,7 @@ import time
 import numpy as np
 
 from ..defense.trim import trim_cdf
-from ..index.batch import merge_disjoint, side_table_search
+from ..index.batch import drop_sorted, merge_disjoint, side_table_search
 from ..index.btree import BTree
 from ..index.dynamic import DynamicLearnedIndex
 from ..index.linear_index import LinearLearnedIndex
@@ -98,12 +98,6 @@ from .columnar import (
 __all__ = ["BACKENDS", "ServingBackend", "make_backend",
            "BinarySearchBackend", "BTreeBackend", "LinearBackend",
            "RMIBackend", "DynamicBackend"]
-
-
-def _without(keys: np.ndarray, drop: np.ndarray) -> np.ndarray:
-    """``setdiff1d(keys, drop)`` for a sorted unique ``keys``, without
-    the re-sort."""
-    return keys[~sorted_member(drop, keys)]
 
 
 def _trim_sanitizer(keep_fraction: float):
@@ -283,7 +277,7 @@ class ServingBackend:
         sit in the snapshot; delta and quarantine hold no model key),
         so they merge without a re-sort.
         """
-        return merge_disjoint(_without(self._snapshot, self._tombs),
+        return merge_disjoint(drop_sorted(self._snapshot, self._tombs),
                               self._delta, self._quarantine)
 
     def _digest_parts(self) -> "tuple[np.ndarray, ...]":
@@ -828,10 +822,10 @@ class DynamicBackend(ServingBackend):
         # disjoint); the shared snapshot/delta fields are not
         # authoritative here.
         index = self._index
-        return _without(merge_disjoint(index.rmi.store.keys,
-                                       index.delta_keys,
-                                       index.quarantine_keys),
-                        self._tombs)
+        return drop_sorted(merge_disjoint(index.rmi.store.keys,
+                                          index.delta_keys,
+                                          index.quarantine_keys),
+                           self._tombs)
 
     def _digest_parts(self) -> "tuple[np.ndarray, ...]":
         # Same ownership rule as live_keys: hash the index's own side

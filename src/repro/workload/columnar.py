@@ -17,7 +17,10 @@ once; this module holds its backend-agnostic machinery:
 * :func:`sorted_insert`, :func:`sorted_remove` — ``union1d`` /
   ``setdiff1d`` on an already-sorted-unique array without the
   re-sort, so side tables stay bit-identical to the scalar arrays at
-  a fraction of the cost;
+  a fraction of the cost (the one insert and the one delete are
+  :func:`~repro.index.batch.merge_disjoint` and
+  :func:`~repro.index.batch.drop_sorted`, which retrains call
+  directly);
 * :class:`SideTable`, :func:`table_moves`, :func:`search_probes` —
   a segment's reads answered against each side table *as it stood at
   the read's op*, while the segment's effects are applied once.
@@ -49,7 +52,7 @@ from ..contracts import (
     WIRE_VERSION,
     ContractViolation,
 )
-from ..index.batch import windowed_search_batch
+from ..index.batch import drop_sorted, merge_disjoint, windowed_search_batch
 from .trace import (
     OP_DELETE,
     OP_INSERT,
@@ -229,21 +232,12 @@ def sorted_insert(arr: np.ndarray, values: np.ndarray) -> np.ndarray:
     if values.size == 0:
         return arr
     fresh = np.unique(values)
-    fresh = fresh[~sorted_member(arr, fresh)]
-    if fresh.size == 0:
-        return arr
-    return np.insert(arr, np.searchsorted(arr, fresh), fresh)
+    return merge_disjoint(arr, fresh[~sorted_member(arr, fresh)])
 
 
 def sorted_remove(arr: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``setdiff1d(arr, values)`` without re-sorting a sorted ``arr``."""
-    if values.size == 0 or arr.size == 0:
-        return arr
-    hits = np.unique(values)
-    hits = hits[sorted_member(arr, hits)]
-    if hits.size == 0:
-        return arr
-    return np.delete(arr, np.searchsorted(arr, hits))
+    return drop_sorted(arr, values)
 
 
 def sorted_insert_unique(arr: np.ndarray,
@@ -257,10 +251,7 @@ def sorted_insert_unique(arr: np.ndarray,
     version is pure overhead there.  Callers own the precondition;
     violating it silently produces a non-unique table.
     """
-    if values.size == 0:
-        return arr
-    v = np.sort(values)
-    return np.insert(arr, np.searchsorted(arr, v), v)
+    return merge_disjoint(arr, np.sort(values))
 
 
 def sorted_remove_present(arr: np.ndarray,
@@ -349,45 +340,29 @@ def table_moves(table: SideTable, eff: np.ndarray, sub_key: np.ndarray,
     return TableMoves(sub_key[at], sign[at], np.searchsorted(at, upto))
 
 
-#: Up to this many (value, query) pairs, :func:`prefix_less_sums`
-#: compares them all at once; the block path's fixed cost is higher.
+#: :func:`prefix_less_sums` compares at most this many (value, query)
+#: pairs at once.
 _BROADCAST_PAIRS = 1 << 16
 
 
 def prefix_less_sums(values: np.ndarray, weights: np.ndarray,
                      upto: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """``weights[:u][values[:u] < q].sum()`` for each pair ``(u, q)``
-    of ``upto`` and ``queries``, in O(n + m) memory.
+    of ``upto`` and ``queries``.
 
-    Small inputs compare every pair at once.  Otherwise each prefix
-    ``[0, u)`` splits into aligned power-of-two blocks, one per set
-    bit of ``u``: per block width, one sort orders the values inside
-    their blocks, and one ``searchsorted`` of the query's rank gives
-    every query whose ``u`` has that bit its block's sum.
+    Every pair is compared, a chunk of queries at a time, so memory
+    stays O(n + m): a chunk holds at most ``_BROADCAST_PAIRS`` pairs
+    (one query's row when ``n`` alone exceeds that).
     """
     n = values.size
-    if n * queries.size <= _BROADCAST_PAIRS:
-        pairs = ((values < queries[:, None])
-                 & (np.arange(n) < upto[:, None]))
-        return pairs @ weights
-    out = np.zeros(queries.size, dtype=np.int64)
-    ordered = np.sort(values)
-    value_rank = np.searchsorted(ordered, values)
-    query_rank = np.searchsorted(ordered, queries)
-    span = n + 1
-    width = 1
-    while width <= n:
-        has = np.nonzero(upto & width)[0]
-        if has.size:
-            blocked = np.arange(n) // width * span + value_rank
-            order = np.argsort(blocked)
-            summed = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(weights[order], out=summed[1:])
-            block = upto[has] // width - 1
-            ends = np.searchsorted(blocked[order],
-                                   block * span + query_rank[has])
-            out[has] += summed[ends] - summed[block * width]
-        width *= 2
+    out = np.empty(queries.size, dtype=np.int64)
+    index = np.arange(n)
+    rows = max(1, _BROADCAST_PAIRS // max(n, 1))
+    for at in range(0, queries.size, rows):
+        chunk = slice(at, at + rows)
+        pairs = ((values < queries[chunk, None])
+                 & (index < upto[chunk, None]))
+        out[chunk] = pairs @ weights
     return out
 
 

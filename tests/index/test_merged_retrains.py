@@ -1,10 +1,10 @@
 """Retrains merge their sorted parts instead of re-sorting them.
 
 ``merge_disjoint`` folds sorted, pairwise-disjoint side tables into
-one array, ``live_keys`` and the dynamic index's retrain build on it,
-and ``RecursiveModelIndex._fit_second_stage`` groups keys by model in
-one stable argsort.  Each is checked against the literal form it
-replaced.
+one array and ``drop_sorted`` takes keys out of a sorted one;
+``live_keys`` and the dynamic index's retrain build on them, and
+``RecursiveModelIndex._fit_second_stage`` groups keys by model in one
+stable argsort.  Each is checked against the literal form it replaced.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index.batch import merge_disjoint
+from repro.index.batch import drop_sorted, merge_disjoint
 from repro.index.rmi import RecursiveModelIndex, SecondStageModel
 from repro.workload import make_backend
 
@@ -26,6 +26,19 @@ def test_merge_disjoint_equals_sorting(keys, parts, seed):
     split = [keys[owner == p] for p in range(parts)]
     assert np.array_equal(merge_disjoint(*split),
                           np.sort(np.concatenate(split)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys=st.sets(st.integers(-50, 50), max_size=60),
+       drop=st.lists(st.integers(-60, 60), max_size=40))
+def test_drop_sorted_equals_setdiff(keys, drop):
+    """Any drop list (unsorted, repeated, absent keys) leaves
+    ``setdiff1d``'s array, and the input itself when nothing goes."""
+    keys = np.asarray(sorted(keys), dtype=np.int64)
+    drop = np.asarray(drop, dtype=np.int64)
+    out = drop_sorted(keys, drop)
+    assert np.array_equal(out, np.setdiff1d(keys, drop))
+    assert (out is keys) == (not np.isin(drop, keys).any())
 
 
 def _fit_per_model_masks(keys, assignment, n_models):

@@ -230,7 +230,8 @@ class TestOneLongSegment:
 
 
 class TestPrefixLessSums:
-    """Both branches equal the literal definition."""
+    """Equal to the literal definition, across chunk boundaries (at
+    ``n`` = 700 a chunk is 93 queries)."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(0, 700), m=st.integers(0, 700),
