@@ -73,7 +73,12 @@ from ..workload.closedloop import (
     pack_around,
     rmi_pool,
 )
-from ..workload.simulator import TickDriver, TickObservation, last_finite
+from ..workload.simulator import (
+    TickDriver,
+    TickObservation,
+    last_finite,
+    percentiles,
+)
 from ..workload.trace import Trace
 from .rebalance import Rebalancer, SloWeightedDefense
 from .router import ClusterRouter
@@ -482,8 +487,7 @@ class ClusterSimulator:
             for tenant in range(self._n_tenants):
                 own = probes[tenants == tenant]
                 if own.size:
-                    tenant_p95[tenant] = float(
-                        np.percentile(own, 95))
+                    tenant_p95[tenant] = percentiles(own, (95,))[0]
             costs = self._sample_costs()
             amp = np.asarray(
                 [costs[t] / baselines[t]
@@ -497,7 +501,7 @@ class ClusterSimulator:
             for shard in range(router.n_shards):
                 own = probes[shards == shard]
                 if own.size:
-                    shard_p95[shard] = float(np.percentile(own, 95))
+                    shard_p95[shard] = percentiles(own, (95,))[0]
             shard_rows["shard_loads"].append(
                 loads.astype(np.float64))
             shard_rows["shard_p95"].append(shard_p95)

@@ -3,16 +3,23 @@
 The scalar lookup APIs (`SortedStore.search_window`,
 `RecursiveModelIndex.lookup`, ...) pay Python-interpreter overhead per
 key, which dominates once a workload replays millions of queries.
-This module vectorizes the *identical* algorithm: a batch of windowed
-binary searches advances all active queries one comparison per numpy
-pass, so the per-key cost collapses to a handful of ufunc launches per
-``log2(window)`` rounds.
+This module vectorizes the *identical* algorithm.  A binary search's
+comparisons in a sorted unique table depend only on the query's rank
+there (its count of smaller keys) and on whether the table holds it,
+so a batch of windowed searches is one ``searchsorted`` for the ranks
+plus a walk of the midpoint path in index space: ``log2(window)``
+rounds of a handful of ufunc launches over the whole batch, none of
+which touches a key.
 
 Equivalence contract
 --------------------
 :func:`windowed_search_batch` performs, per element, exactly the loop
 of :meth:`repro.index.sorted_store.SortedStore.search_window`: same
-midpoint sequence, same early exit on a hit, same probe count.  The
+midpoint sequence, same early exit on a hit, same probe count.
+:func:`path_probes` is that walk, and the one place the probe count of
+a binary search is computed: the side-table searches of every
+structure and the serving replay's as-of counts
+(:func:`repro.workload.columnar.search_probes`) call it too.  The
 batched index lookups built on it therefore return bit-identical
 positions and probes to their scalar counterparts — pinned by
 ``tests/index/test_batch_lookup.py`` — which is what lets the serving
@@ -26,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["BatchProbeResult", "BatchLookupResult",
-           "windowed_search_batch", "side_table_search", "merge_disjoint",
-           "drop_sorted"]
+           "windowed_search_batch", "path_probes", "side_table_search",
+           "merge_disjoint", "drop_sorted"]
 
 
 @dataclass(frozen=True)
@@ -132,65 +139,80 @@ def windowed_search_batch(sorted_keys: np.ndarray, queries: np.ndarray,
                           hi: np.ndarray) -> BatchProbeResult:
     """Binary-search every query inside its own ``[lo, hi]`` window.
 
-    All arrays align element-for-element with ``queries``; ``lo > hi``
-    denotes an empty window (zero probes, not found).  Each numpy pass
-    advances every still-active query by one comparison, mirroring the
-    scalar loop exactly: probe the midpoint, stop on equality, else
-    halve the window.  Total passes are bounded by the widest window's
-    ``log2``, so a batch of B queries over windows of width W costs
-    ``O(log W)`` vectorized steps instead of ``O(B log W)`` interpreted
-    ones.
+    ``sorted_keys`` is sorted and unique; all other arrays align
+    element-for-element with ``queries``, and ``lo > hi`` denotes an
+    empty window (zero probes, not found).  The scalar loop's
+    comparisons depend only on where the query ranks among the keys,
+    so one ``searchsorted`` gives each query's rank and
+    :func:`path_probes` walks the same midpoint path in index space;
+    a stored key is found, at its rank, exactly when the rank lies in
+    its window.
     """
     keys = np.asarray(sorted_keys)
     queries = np.asarray(queries, dtype=keys.dtype)
-    lo = np.array(lo, dtype=np.int64, copy=True)
-    hi = np.array(hi, dtype=np.int64, copy=True)
-    positions = np.full(queries.shape, -1, dtype=np.int64)
-    probes = np.zeros(queries.shape, dtype=np.int64)
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    rank = np.searchsorted(keys, queries)
+    if keys.size:
+        member = keys[np.minimum(rank, keys.size - 1)] == queries
+    else:
+        member = np.zeros(queries.shape, dtype=bool)
+    found = member & (lo <= rank) & (rank <= hi)
+    return BatchProbeResult(positions=np.where(found, rank, -1),
+                            probes=path_probes(lo, hi, rank, member))
 
-    if queries.size <= 16:
-        # Small batches lose to ufunc dispatch: a whole vectorized
-        # pass costs ~a dozen array ops to advance each query one
-        # comparison, so below ~16 queries the interpreted loop —
-        # the *same* midpoint sequence and early exit — is faster.
-        # This is the shape of single-key lookups (range endpoints,
-        # op-by-op replays) and of a short segment's side-table misses.
-        for i, (query, low, high) in enumerate(
-                zip(queries.tolist(), lo.tolist(), hi.tolist())):
+
+def path_probes(lo: np.ndarray, hi: np.ndarray, rank: np.ndarray,
+                member: np.ndarray) -> np.ndarray:
+    """Probes of a binary search of ``[lo, hi]``, per query, for a key
+    with ``rank`` smaller keys in a sorted unique table that holds it
+    (``member``) or not.
+
+    The scalar loop's outcome at a midpoint is fixed by the rank
+    alone: ``keys[mid] < q`` is ``mid < rank``, and a stored key stops
+    the search at ``mid == rank``.  So the walk never reads a key:
+    ``lo`` moves past ``mid`` while ``mid < rank + member`` and ``hi``
+    while ``mid >= rank``: a hit moves both, which empties the window.
+    An empty window stays empty, so every round is the same
+    arithmetic over whole arrays, and ``bit_length`` of the widest
+    window rounds finish every search.
+    """
+    lo = np.array(lo, dtype=np.int64)
+    hi = np.array(hi, dtype=np.int64)
+    below = rank + member
+    if lo.size <= 16:
+        # Small batches lose to ufunc dispatch: a round costs ten
+        # array ops whatever the batch size, so below ~16 queries the
+        # same walk, one query at a time, is faster.  This is the
+        # shape of single-key lookups and of a short segment's
+        # side-table misses.
+        probes = []
+        for low, high, lo_moves, hi_moves in zip(
+                lo.tolist(), hi.tolist(), below.tolist(), rank.tolist()):
             cost = 0
             while low <= high:
                 mid = (low + high) // 2
                 cost += 1
-                stored = int(keys[mid])
-                if stored == query:
-                    positions[i] = mid
-                    break
-                if stored < query:
+                if mid < lo_moves:
                     low = mid + 1
-                else:
+                if mid >= hi_moves:
                     high = mid - 1
-            probes[i] = cost
-        return BatchProbeResult(positions=positions, probes=probes)
-
-    active = lo <= hi
-    while np.any(active):
-        idx = np.nonzero(active)[0]
-        mid = (lo[idx] + hi[idx]) // 2
-        probes[idx] += 1
-        stored = keys[mid]
-        q = queries[idx]
-
-        hit = stored == q
-        positions[idx[hit]] = mid[hit]
-        active[idx[hit]] = False
-
-        go_right = stored < q
-        right = idx[go_right & ~hit]
-        lo[right] = mid[go_right & ~hit] + 1
-        left = idx[~go_right & ~hit]
-        hi[left] = mid[~go_right & ~hit] - 1
-
-        still = idx[~hit]
-        active[still] = lo[still] <= hi[still]
-
-    return BatchProbeResult(positions=positions, probes=probes)
+            probes.append(cost)
+        return np.asarray(probes, dtype=np.int64).reshape(lo.shape)
+    probes = np.zeros(lo.shape, dtype=np.int64)
+    widest = int((hi - lo).max(initial=-1)) + 1
+    mid = np.empty_like(lo)
+    moved = np.empty_like(lo)
+    step = np.empty(lo.shape, dtype=bool)
+    for _ in range(max(widest, 0).bit_length()):
+        np.add(lo, hi, out=mid)
+        np.right_shift(mid, 1, out=mid)
+        np.less_equal(lo, hi, out=step)
+        probes += step
+        np.less(mid, below, out=step)
+        np.add(mid, 1, out=moved)
+        np.copyto(lo, moved, where=step)
+        np.greater_equal(mid, rank, out=step)
+        np.subtract(mid, 1, out=moved)
+        np.copyto(hi, moved, where=step)
+    return probes

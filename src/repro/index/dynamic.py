@@ -246,23 +246,29 @@ class DynamicLearnedIndex:
         # Base, buffer and quarantine are sorted and pairwise disjoint
         # (every insert is checked absent from all three first).
         merged = merge_disjoint(self._base, self._delta, self._quarantine)
-        self._delta = _NO_KEYS
+        candidates = merged.size
+        quarantine = _NO_KEYS
         if self._sanitizer is not None:
             kept = np.sort(np.asarray(self._sanitizer(merged),
                                       dtype=np.int64))
             if np.setdiff1d(kept, merged).size:
                 raise ValueError(
                     "sanitizer returned keys outside the training set")
-            self._quarantine = (np.setdiff1d(merged, kept)
-                                if self._quarantine_rejects
-                                else np.empty(0, dtype=np.int64))
+            if self._quarantine_rejects:
+                quarantine = np.setdiff1d(merged, kept)
+                quarantine.setflags(write=False)
             merged = kept
-        else:
-            self._quarantine = np.empty(0, dtype=np.int64)
-        self._quarantine.setflags(write=False)
-        self._base = merged
+        if merged.size < self._n_models:
+            # Checked before any state moves, so a failed retrain
+            # leaves the index serving exactly what it did before.
+            raise ValueError(
+                f"retrain kept {merged.size} of {candidates} keys, too "
+                f"few for {self._n_models} models")
         self._rmi = RecursiveModelIndex.build_equal_size(
             merged, self._n_models)
+        self._base = merged
+        self._delta = _NO_KEYS
+        self._quarantine = quarantine
         self._retrain_count += 1
 
     # ------------------------------------------------------------------

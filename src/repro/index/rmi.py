@@ -74,9 +74,11 @@ class BoundaryRoot(RootModel):
 
     def route(self, keys: np.ndarray, n_total: int,
               n_models: int) -> np.ndarray:
+        # np.minimum/np.maximum, not np.clip: on a serving tick's
+        # batch the clip wrapper costs more than the search itself.
         idx = np.searchsorted(self._boundaries, np.asarray(keys),
                               side="right") - 1
-        return np.clip(idx, 0, n_models - 1)
+        return np.minimum(np.maximum(idx, 0), n_models - 1)
 
 
 @dataclass(frozen=True)
@@ -131,10 +133,15 @@ class RecursiveModelIndex:
         # serving hot path.
         self._slopes = np.asarray([m.slope for m in models])
         self._intercepts = np.asarray([m.intercept for m in models])
-        self._err_lo = np.asarray([m.err_lo for m in models],
-                                  dtype=np.int64)
-        self._err_hi = np.asarray([m.err_hi for m in models],
-                                  dtype=np.int64)
+        err_lo = np.asarray([m.err_lo for m in models], dtype=np.int64)
+        err_hi = np.asarray([m.err_hi for m in models], dtype=np.int64)
+        # The last-mile half-width each expert searches, with the
+        # scalar lookup's rounding slack.
+        self._half_width = np.maximum(np.abs(err_lo - 1),
+                                      np.abs(err_hi + 1))
+        # An expert that serves no key has window 1, no wider than a
+        # served one's, so the widest window is a max over them all.
+        self._max_window = int((err_hi - err_lo).max()) + 1
 
     # ------------------------------------------------------------------
     # Builders
@@ -254,7 +261,7 @@ class RecursiveModelIndex:
 
     def max_search_window(self) -> int:
         """Largest last-mile window across experts (worst lookup)."""
-        return max(m.window for m in self._models if m.n_keys > 0)
+        return self._max_window
 
     # ------------------------------------------------------------------
     # Lookup
@@ -300,11 +307,9 @@ class RecursiveModelIndex:
                             * keys.astype(np.float64)
                             + self._intercepts[model_idx]
                             ).astype(np.int64)
-        predicted = np.clip(predicted, 0, n - 1)
-        # Same rounding slack as the scalar path.
-        window = np.maximum(np.abs(self._err_lo[model_idx] - 1),
-                            np.abs(self._err_hi[model_idx] + 1))
-        probe = self._store.search_window_batch(keys, predicted, window)
+        predicted = np.minimum(np.maximum(predicted, 0), n - 1)
+        probe = self._store.search_window_batch(
+            keys, predicted, self._half_width[model_idx])
         return BatchLookupResult(found=probe.found,
                                  positions=probe.positions,
                                  probes=probe.probes,

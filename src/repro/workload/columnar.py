@@ -52,7 +52,7 @@ from ..contracts import (
     WIRE_VERSION,
     ContractViolation,
 )
-from ..index.batch import drop_sorted, merge_disjoint, windowed_search_batch
+from ..index.batch import drop_sorted, merge_disjoint, path_probes
 from .trace import (
     OP_DELETE,
     OP_INSERT,
@@ -372,13 +372,10 @@ def search_probes(size: np.ndarray, rank: np.ndarray,
     table of ``size`` keys for a key of ``rank`` (its count of smaller
     table keys) that is or is not a ``member``.
 
-    The path depends on nothing else, so it is walked over the virtual
-    table ``0, 2, 4, ...`` for ``2·rank`` (a member) or ``2·rank − 1``
-    (not): same comparisons, so :func:`windowed_search_batch` counts
-    exactly the probes a search of the real table would.
+    The path depends on nothing else, so no table is needed:
+    :func:`~repro.index.batch.path_probes` walks it in index space
+    over ``[0, size - 1]``, the same walk that counts the probes of
+    every real-table search.
     """
-    virtual = np.arange(0, 2 * int(size.max(initial=0)), 2)
-    target = np.where(member, 2 * rank, 2 * rank - 1)
-    return windowed_search_batch(virtual, target,
-                                 np.zeros(size.size, dtype=np.int64),
-                                 size - 1).probes
+    return path_probes(np.zeros(size.shape, dtype=np.int64), size - 1,
+                       rank, member)

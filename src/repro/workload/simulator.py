@@ -68,7 +68,8 @@ from .backends import ServingBackend
 from .trace import OP_POISON, OP_QUERY, OP_RANGE, Trace
 
 __all__ = ["ServingReport", "ServingSimulator", "TickDriver",
-           "TickObservation", "TunerDecision", "last_finite"]
+           "TickObservation", "TunerDecision", "last_finite",
+           "percentiles"]
 
 _SERIES = ("p50", "p95", "p99", "mean_probes", "error_bound",
            "retrains", "amplification", "n_keys")
@@ -204,6 +205,30 @@ class ServingReport:
         }
 
 
+def percentiles(values: np.ndarray, q: Sequence[float]) -> np.ndarray:
+    """``np.percentile(values, q)`` bit for bit, at under half its cost
+    on a tick's few hundred reads (and a tenth of it on a replay's
+    tens of thousands).
+
+    The default (linear) method: one sort, then numpy's two-sided
+    interpolation between the two order statistics around each
+    ``(n - 1) * q / 100`` — up from the lower one when the fraction is
+    below one half, down from the upper one otherwise.  ``values`` is
+    non-empty.
+    """
+    ordered = np.sort(values)
+    last = ordered.size - 1
+    virtual = last * np.true_divide(q, 100)
+    below = np.minimum(virtual.astype(np.intp), last)
+    gamma = virtual - below
+    lower = ordered[below]
+    upper = ordered[np.minimum(below + 1, last)]
+    diff = upper - lower
+    out = lower + diff * gamma
+    np.subtract(upper, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
 class TickDriver:
     """The tick loop both simulators run.
 
@@ -278,7 +303,7 @@ class TickDriver:
             self._probes.append(probes)
             self.total_probes += int(probes.sum())
             if probes.size:
-                p50, p95, p99 = np.percentile(probes, (50, 95, 99))
+                p50, p95, p99 = percentiles(probes, (50, 95, 99))
                 mean = float(probes.mean())
             else:
                 p50 = p95 = p99 = mean = float("nan")
@@ -331,7 +356,7 @@ class TickDriver:
                   else np.empty(0, dtype=np.int64))
         if probes.size:
             p50, p95, p99 = (float(v) for v in
-                             np.percentile(probes, (50, 95, 99)))
+                             percentiles(probes, (50, 95, 99)))
             mean = float(probes.mean())
         else:
             # A read-free replay: fall back per the last-finite

@@ -14,7 +14,7 @@ from repro.core import (
     optimal_single_point,
     poisoning_losses,
 )
-from repro.data import Domain, KeySet
+from repro.data import Domain, KeySet, uniform_keyset
 
 
 class TestPoisoningLosses:
@@ -48,10 +48,12 @@ class TestPoisoningLosses:
 
 
 class TestOptimalSinglePoint:
-    def test_increases_loss(self, small_keyset):
-        result = optimal_single_point(small_keyset)
-        assert result.loss_after > result.loss_before
-        assert result.ratio_loss > 1.0
+    def test_increases_loss(self, small_keyset, rng):
+        large = uniform_keyset(10_000, Domain(0, 99_999), rng)
+        for keyset in (small_keyset, large):
+            result = optimal_single_point(keyset)
+            assert result.loss_after > result.loss_before
+            assert result.ratio_loss > 1.0
 
     def test_key_is_unoccupied_and_interior(self, small_keyset):
         result = optimal_single_point(small_keyset)

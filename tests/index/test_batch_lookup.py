@@ -40,7 +40,74 @@ def queries(keyset):
     return np.concatenate([stored, absent, edges])
 
 
+#: Batch sizes either side of the walk's interpreted small-batch cut.
+BATCH_SIZES = (1, 16, 17, 200)
+
+#: The even keys 0, 2, ..., 798: every odd number is a gap.
+TABLE = np.arange(0, 800, 2, dtype=np.int64)
+
+
+def _in_batches(size, search, *columns):
+    """Positions and probes of ``search`` over ``columns``, called on
+    consecutive batches of ``size``."""
+    outs = [search(*(column[at:at + size] for column in columns))
+            for at in range(0, columns[0].size, size)]
+    return (np.concatenate([out.positions for out in outs]),
+            np.concatenate([out.probes for out in outs]))
+
+
+def _search_table(*columns):
+    return windowed_search_batch(TABLE, *columns)
+
+
+def _window_cases():
+    """Every window width from 1 to 300 inside ``TABLE``, with a query
+    at every stored offset and in every gap (the two gaps just outside
+    the window included), plus a query below and above the key range;
+    and the scalar ``search_window`` answer of each.  A window
+    ``[lo, hi]`` is the scalar search of the store cut at ``hi``,
+    predicted at ``hi`` with error ``hi - lo``: clipping at the cut
+    end leaves exactly that window over the same indices."""
+    rows = []
+    for width in range(1, 301):
+        lo = 7 + width % 5
+        hi = lo + width - 1
+        cut = SortedStore(TABLE[:hi + 1])
+        stored = TABLE[lo:hi + 1]
+        gaps = TABLE[lo:hi + 2] - 1
+        for query in np.concatenate([stored, gaps, [-5, 805]]).tolist():
+            ref = cut.search_window(query, hi, width - 1)
+            rows.append((query, lo, hi, ref.position, ref.probes))
+    return np.asarray(rows, dtype=np.int64).T
+
+
 class TestWindowedSearchBatch:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _window_cases()
+
+    @pytest.mark.parametrize("size", BATCH_SIZES)
+    def test_every_width_offset_and_gap(self, cases, size):
+        queries, lo, hi, positions, probes = cases
+        got = _in_batches(size, _search_table, queries, lo, hi)
+        assert np.array_equal(got[0], positions)
+        assert np.array_equal(got[1], probes)
+
+    @pytest.mark.parametrize("size", BATCH_SIZES)
+    def test_windows_clipped_at_either_end(self, size):
+        store = SortedStore(TABLE)
+        n = TABLE.size
+        grid = [(q, p, e)
+                for p in (0, 1, 2, 150, n - 3, n - 2, n - 1)
+                for e in (0, 1, 2, 7, 150, 299, 300, 1_000)
+                for q in (-5, 0, 1, 2, 13, 300, 301, 2 * n - 3, 2 * n - 2,
+                          2 * n - 1, 2 * n + 5)]
+        want = [store.search_window(q, p, e) for q, p, e in grid]
+        got = _in_batches(size, store.search_window_batch,
+                          *np.asarray(grid, dtype=np.int64).T)
+        assert np.array_equal(got[0], [r.position for r in want])
+        assert np.array_equal(got[1], [r.probes for r in want])
+
     def test_matches_scalar_search_window(self, keyset, queries):
         store = SortedStore(keyset.keys)
         rng = np.random.default_rng(73)
@@ -68,6 +135,16 @@ class TestWindowedSearchBatch:
                                     np.asarray([4, 2]))  # lo > hi
         assert (out.positions == -1).all()
         assert (out.probes == 0).all()
+        # Width 0 and below, anywhere, at every batch size.
+        rng = np.random.default_rng(76)
+        queries = rng.integers(-10, 810, size=300)
+        hi = rng.integers(-1, TABLE.size, size=300)
+        lo = hi + rng.integers(1, 4, size=300)
+        for size in BATCH_SIZES:
+            positions, probes = _in_batches(size, _search_table,
+                                            queries, lo, hi)
+            assert (positions == -1).all()
+            assert (probes == 0).all()
 
     def test_empty_batch(self):
         keys = np.arange(10, dtype=np.int64)

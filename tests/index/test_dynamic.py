@@ -5,6 +5,7 @@ import pytest
 
 from repro.data import Domain, uniform_keyset
 from repro.index import DynamicLearnedIndex
+from repro.workload.backends import make_backend
 
 
 @pytest.fixture
@@ -104,6 +105,32 @@ class TestRetraining:
         dyn, _ = index
         dyn.flush()
         assert dyn.retrain_count == 0
+
+    def test_failed_retrain_changes_nothing(self):
+        """A retrain whose screen keeps fewer keys than models raises
+        before any state moves.  Dropping TRIM's rejects shrinks the
+        key set at every retrain, so one fresh insert at a time gets
+        there on the 14th."""
+        backend = make_backend("dynamic", np.arange(0, 1000, 10),
+                               rebuild_threshold=0.05,
+                               trim_keep_fraction=0.6,
+                               quarantine_rejects=False, model_size=7)
+        dyn = backend._index
+        keys = iter(range(5, 1000, 10))
+        with pytest.raises(ValueError, match="kept 10 of 17 keys, too "
+                                             "few for 14 models"):
+            for inserts, key in enumerate(keys, start=1):
+                before = (dyn.rmi.store.keys, dyn.delta_keys,
+                          dyn.quarantine_keys, dyn.retrain_count)
+                dyn.insert(key)
+        assert inserts == 14
+        base, delta, quarantine, retrains = before
+        assert np.array_equal(dyn.rmi.store.keys, base)
+        assert np.array_equal(dyn.delta_keys, np.append(delta, key))
+        assert np.array_equal(dyn.quarantine_keys, quarantine)
+        assert dyn.retrain_count == retrains
+        assert dyn.n_keys == base.size + delta.size + 1
+        assert dyn.lookup_batch(np.append(base, key)).found.all()
 
     def test_delta_lookups_cost_extra(self, index):
         """Buffered keys pay the delta binary search."""

@@ -28,6 +28,7 @@ class TestBuildEqualSize:
         for key in keyset.keys[::37]:
             result = rmi.lookup(int(key))
             assert result.found
+            assert result.probes >= 1
             assert rmi.store.key_at(result.position) == key
 
     def test_absent_keys_not_found(self, keyset):

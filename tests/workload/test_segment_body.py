@@ -6,8 +6,9 @@ the segment's effects once.  A side-table probe count is a binary
 search's path length, so it depends on the table's size and the
 query's rank at that op, not only on membership; these tests pin
 that as-of answer to the op-by-op oracle on long segments where
-reads land on keys every effect kind moves, pin the per-segment call
-budget, and bound the memory of one 40,000-op segment.
+reads land on keys every effect kind moves, pin the path walk that
+counts it to a real table's search, pin the per-segment call budget,
+and bound the memory of one 40,000-op segment.
 """
 
 import tracemalloc
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from replay_oracle import MIX, op_by_op
+from repro.index import SortedStore
 from repro.runtime import stable_seed_words
 from repro.workload import (
     OP_DELETE,
@@ -40,6 +42,7 @@ from repro.workload.columnar import (
     EFF_TOMB,
     decompose_ops,
     prefix_less_sums,
+    search_probes,
 )
 
 #: Base keys are the multiples of 4 below POOL; the other pool keys
@@ -246,3 +249,36 @@ class TestPrefixLessSums:
                     for u, q in zip(upto, queries)]
         assert prefix_less_sums(values, weights, upto,
                                 queries).tolist() == expected
+
+
+class TestSearchProbes:
+    """Equal to a binary search of a real table, for every table size
+    up to 200 and every rank in it, member or not, at batch sizes
+    either side of the walk's interpreted small-batch cut."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rows = []
+        for size in range(201):
+            table = np.arange(0, 2 * size, 2, dtype=np.int64)
+            store = SortedStore(table) if size else None
+            for rank in range(size + 1):
+                # A member sits at its rank, a non-member in the gap
+                # just below it.
+                for member in ((False, True) if rank < size
+                               else (False,)):
+                    query = 2 * rank - 1 + member
+                    probes = (store.search_window(query, size - 1,
+                                                  size - 1).probes
+                              if size else 0)
+                    rows.append((size, rank, member, probes))
+        return np.asarray(rows, dtype=np.int64).T
+
+    @pytest.mark.parametrize("batch", (1, 16, 17, 200))
+    def test_equals_a_real_table_search(self, cases, batch):
+        size, rank, member, probes = cases
+        got = np.concatenate([
+            search_probes(size[at:at + batch], rank[at:at + batch],
+                          member[at:at + batch].astype(bool))
+            for at in range(0, size.size, batch)])
+        assert np.array_equal(got, probes)
