@@ -7,21 +7,22 @@ key range, and implements the single-backend surface the
 router stack (fan-out, migrations, defense hooks) works unchanged on
 top.  Semantics:
 
-* **mutations broadcast** to every live replica in replica order, so
-  healthy replicas stay bit-identical;
+* **one request path**: a request for more than one replica is
+  encoded once, sent to every target replica, and only then are the
+  replies read, in replica order — the replicas serve it side by
+  side, and a worker error is raised once every reply is read, so a
+  mutation reaches every replica and healthy ones stay bit-identical;
 * **reads quorum**: each query is served by all live replicas and
   combined per slot — membership by majority vote, probe cost as the
   q-th smallest (``q = n_live // 2 + 1``), i.e. the moment the
   q-th-fastest replica answers.  ``read_mode="primary"`` instead
   trusts the lowest-index live replica alone (the naive arm of the
-  poisoned-replica duel);
-* **concurrent replicas**: a replay or lookup batch is encoded once,
-  sent to every live replica, and only then are the replies read, in
-  replica order — so the replicas serve it side by side;
+  poisoned-replica duel).  A range scan is a lookup of ``lo``;
 * **stats ride on the replay**: each replica's REPLAY reply carries
   its post-replay stats, which the scalar surface and the detector
-  read until another request that can change the replica drops them
-  (the next read then polls STATS);
+  read until a mutation or rebuild drops them (the next read then
+  polls STATS); a setter sends only a changed value, and updates its
+  field in those stats;
 * **divergence detection**: a poisoned replica serves *valid-looking*
   results, so byte-level checks can't see it — but its error-bound
   series drifts.  :class:`DivergenceDetector` compares each replica's
@@ -40,7 +41,7 @@ replicas the group is pinned bit-identical to one in-process backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -50,8 +51,15 @@ from ..workload.trace import OP_INSERT, OP_QUERY, OP_RANGE
 from .router import ClusterRouter
 from .shardmap import ShardMap
 from .transport import (
+    MSG_DELETE,
+    MSG_DIGEST,
+    MSG_INSERT,
     MSG_LOOKUP,
+    MSG_REBUILD,
     MSG_REPLAY,
+    MSG_SET_KEEP,
+    MSG_SET_THRESHOLD,
+    MSG_STATS,
     ProtocolError,
     ReplicaDeadError,
     ShardWorkerError,
@@ -59,9 +67,10 @@ from .transport import (
     TransportConfig,
     WorkerClient,
     WorkerStats,
-    lookup_request,
+    keys_request,
     replay_request,
     spawn_context,
+    value_request,
 )
 
 __all__ = ["DivergenceConfig", "DivergenceDetector", "ReplicaGroup",
@@ -128,14 +137,14 @@ class ReplicaGroup:
         self._shard = int(shard)
         self._read_mode = read_mode
         self._threshold = rebuild_threshold
-        self._keep: "float | None" = None
+        self._keep: "float | None" = build_args.get("trim_keep_fraction")
         self.supports_trim = BACKENDS[backend].supports_trim
         self._detector = (None if divergence is None
                           else DivergenceDetector(divergence,
                                                   n_replicas))
         self._flagged: "list[int]" = []
         #: Each replica's stats as of its last replay or STATS poll;
-        #: any request that can change a replica drops its entry.
+        #: a mutation or rebuild drops them, a setter updates its field.
         self._stats: "dict[int, WorkerStats]" = {}
         self._closed = False
         ctx = ctx if ctx is not None else spawn_context()
@@ -232,6 +241,14 @@ class ReplicaGroup:
             raise error
         return rows
 
+    def _broadcast(self, code: int, body: bytes = b"",
+                   decode: Any = lambda client, reply: reply,
+                   ) -> "list[tuple[int, Any]]":
+        """One request to every live replica, through :meth:`_fan_out`."""
+        return self._fan_out(
+            code, [(i, client, body) for i, client in self._live()],
+            decode)
+
     # -- serving surface (mirrors ServingBackend) ----------------------
     def replay_ops(self, kinds: np.ndarray, keys: np.ndarray,
                    aux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -276,7 +293,7 @@ class ReplicaGroup:
         targets = self._live()
         if self._read_mode == "primary" and targets:
             targets = targets[:1]
-        body = lookup_request(self._book.metrics, keys)
+        body = keys_request(self._book.metrics, keys)
         replies = self._fan_out(
             MSG_LOOKUP, [(i, client, body) for i, client in targets],
             lambda client, reply: client.lookup_reply(reply, keys.size))
@@ -285,57 +302,34 @@ class ReplicaGroup:
             keys.size)
 
     def range_scan(self, lo: int, hi: int) -> int:
-        targets = self._live()
-        if self._read_mode == "primary" and targets:
-            targets = targets[:1]
-        costs = []
-        for _, client in targets:
-            try:
-                costs.append(client.range_scan(lo, hi))
-            except ReplicaDeadError:
-                continue
-        if not costs:
-            return 0
-        if self._read_mode == "primary":
-            return costs[0]
-        return int(sorted(costs)[len(costs) // 2 + 1 - 1])
+        """The probe cost of locating ``lo``, as
+        :meth:`~repro.workload.backends.ServingBackend.range_scan`
+        charges it, read like any lookup."""
+        _, probes = self.lookup_batch(np.asarray([lo], dtype=np.int64))
+        return int(probes[0])
 
     def insert_batch(self, keys: np.ndarray) -> None:
         self._stats.clear()
-        for _, client in self._live():
-            try:
-                client.insert(keys)
-            except ReplicaDeadError:
-                continue
+        self._broadcast(MSG_INSERT, keys_request(self._book.metrics, keys))
 
     def delete_batch(self, keys: np.ndarray) -> None:
         self._stats.clear()
-        for _, client in self._live():
-            try:
-                client.delete(keys)
-            except ReplicaDeadError:
-                continue
+        self._broadcast(MSG_DELETE, keys_request(self._book.metrics, keys))
 
     def rebuild(self) -> None:
         self._stats.clear()
-        for _, client in self._live():
-            try:
-                client.rebuild()
-            except ReplicaDeadError:
-                continue
+        self._broadcast(MSG_REBUILD)
 
     # -- scalar surface (primary replica's view) -----------------------
-    def _stats_of(self, replica: int,
-                  client: WorkerClient) -> WorkerStats:
-        """``replica``'s stats as of its last replay, else polled."""
-        stats = self._stats.get(replica)
-        if stats is None:
-            stats = self._stats[replica] = client.stats()
-        return stats
-
     def _primary_stats(self) -> "WorkerStats | None":
+        """The primary's stats as of its last replay, else polled."""
         live = self._live()
-        return self._stats_of(*live[0]) if live else None
+        if not live:
+            return None
+        primary, client = live[0]
+        if primary not in self._stats:
+            self._stats[primary] = client.stats()
+        return self._stats[primary]
 
     @property
     def n_keys(self) -> int:
@@ -371,7 +365,8 @@ class ReplicaGroup:
         return "dead" if primary is None else primary.digest()
 
     def replica_digests(self) -> "list[str]":
-        return [client.digest() for _, client in self._live()]
+        return [digest for _, digest in self._broadcast(
+            MSG_DIGEST, decode=WorkerClient.digest_reply)]
 
     # -- tuner hooks (router is the only writer, so the local copy
     # is authoritative and costs no round trip) -----------------------
@@ -384,22 +379,22 @@ class ReplicaGroup:
         return self._keep
 
     def set_rebuild_threshold(self, threshold: float) -> None:
-        self._threshold = threshold
-        self._stats.clear()
-        for _, client in self._live():
-            try:
-                client.set_rebuild_threshold(threshold)
-            except ReplicaDeadError:
-                continue
+        if threshold != self._threshold:
+            self._set(MSG_SET_THRESHOLD, "rebuild_threshold", threshold)
+            self._threshold = threshold
 
     def set_trim_keep_fraction(self, fraction: "float | None") -> None:
-        self._keep = fraction
-        self._stats.clear()
-        for _, client in self._live():
-            try:
-                client.set_trim_keep_fraction(fraction)
-            except ReplicaDeadError:
-                continue
+        if fraction != self._keep:
+            self._set(MSG_SET_KEEP, "trim_keep_fraction", fraction)
+            self._keep = fraction
+
+    def _set(self, code: int, field: str, value: "float | None") -> None:
+        """Send a changed setting to every live replica.  Both settings
+        act only at the next rebuild check, so the cached stats stay
+        exact with ``field`` replaced."""
+        self._broadcast(code, value_request(value))
+        self._stats = {i: replace(stats, **{field: value})
+                       for i, stats in self._stats.items()}
 
     # -- divergence detection ------------------------------------------
     def detect(self) -> "list[int]":
@@ -407,13 +402,14 @@ class ReplicaGroup:
         replica out of band for ``patience`` consecutive ticks."""
         if self._detector is None:
             return []
-        bounds = []
-        for i, client in self._live():
-            try:
-                bounds.append((i, self._stats_of(i, client).error_bound))
-            except ReplicaDeadError:
-                continue
-        flagged = self._detector.observe(bounds)
+        live = self._live()
+        self._stats.update(self._fan_out(
+            MSG_STATS, [(i, client, b"") for i, client in live
+                        if i not in self._stats],
+            WorkerClient.stats_reply))
+        flagged = self._detector.observe(
+            [(i, self._stats[i].error_bound) for i, _ in live
+             if i in self._stats])
         for replica in flagged:
             self._book.quarantine_replica(self._shard, replica)
             self._flagged.append(replica)

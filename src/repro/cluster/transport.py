@@ -19,7 +19,8 @@ pickled Python objects.  Three layers:
   replay, so a tick needs no STATS round trip; a request is sent
   (:meth:`WorkerClient.send`) apart from reading its reply
   (:meth:`WorkerClient.receive`), so a replica group can have every
-  replica working on a batch before it reads any answer;
+  replica working on a request before it reads any answer (bodies
+  from the ``*_request`` helpers, replies through ``*_reply``);
 * **worker** — :func:`shard_worker_main`, the per-process serve loop
   (build backend from a build spec, then dispatch until SHUTDOWN or
   the parent hangs up), shaped after the per-round server loop of
@@ -63,7 +64,6 @@ from ..contracts import (
     MSG_INSERT,
     MSG_LIVE_KEYS,
     MSG_LOOKUP,
-    MSG_RANGE,
     MSG_REBUILD,
     MSG_REPLAY,
     MSG_SET_KEEP,
@@ -262,9 +262,6 @@ def _dispatch(backend: ServingBackend, code: int,
         keys, _ = _unpack_i64(body, 0)
         backend.delete_batch(keys)
         return b""
-    if code == MSG_RANGE:
-        lo, hi = struct.unpack("<qq", body)
-        return struct.pack("<q", backend.range_scan(lo, hi))
     if code == MSG_STATS:
         return WorkerStats.of(backend).pack()
     if code == MSG_LIVE_KEYS:
@@ -609,9 +606,14 @@ def replay_request(metrics, kinds: np.ndarray, keys: np.ndarray,
                   kinds, keys, aux)
 
 
-def lookup_request(metrics, keys: np.ndarray) -> bytes:
-    """A LOOKUP body: the keys."""
+def keys_request(metrics, keys: np.ndarray) -> bytes:
+    """A LOOKUP, INSERT or DELETE body: the keys."""
     return _timed(metrics, "transport.encode", _pack_i64, keys)
+
+
+def value_request(value: "float | None") -> bytes:
+    """A SET_THRESHOLD or SET_KEEP body: one f64, NaN for ``None``."""
+    return struct.pack("<d", np.nan if value is None else value)
 
 
 class WorkerClient:
@@ -821,6 +823,20 @@ class WorkerClient:
         return _timed(self._book.metrics, "transport.decode",
                       self._columns, MSG_LOOKUP, body, n)
 
+    def stats_reply(self, body: bytes) -> WorkerStats:
+        """The stats of a STATS reply."""
+        try:
+            return WorkerStats.unpack(body)
+        except struct.error as exc:
+            raise self._malformed(MSG_STATS, exc) from exc
+
+    def digest_reply(self, body: bytes) -> str:
+        """The state digest of a DIGEST reply."""
+        try:
+            return body.decode()
+        except UnicodeDecodeError as exc:
+            raise self._malformed(MSG_DIGEST, exc) from exc
+
     def replay(self, kinds: np.ndarray, keys: np.ndarray,
                aux: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray, WorkerStats]:
@@ -830,29 +846,12 @@ class WorkerClient:
 
     def lookup(self, keys: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray]:
-        body = self.call(MSG_LOOKUP, lookup_request(
+        body = self.call(MSG_LOOKUP, keys_request(
             self._book.metrics, keys))
         return self.lookup_reply(body, len(keys))
 
-    def insert(self, keys: np.ndarray) -> None:
-        self.call(MSG_INSERT, _pack_i64(keys))
-
-    def delete(self, keys: np.ndarray) -> None:
-        self.call(MSG_DELETE, _pack_i64(keys))
-
-    def range_scan(self, lo: int, hi: int) -> int:
-        body = self.call(MSG_RANGE, struct.pack("<qq", lo, hi))
-        try:
-            return int(struct.unpack("<q", body)[0])
-        except struct.error as exc:
-            raise self._malformed(MSG_RANGE, exc) from exc
-
     def stats(self) -> WorkerStats:
-        body = self.call(MSG_STATS)
-        try:
-            return WorkerStats.unpack(body)
-        except struct.error as exc:
-            raise self._malformed(MSG_STATS, exc) from exc
+        return self.stats_reply(self.call(MSG_STATS))
 
     def live_keys(self) -> np.ndarray:
         body = self.call(MSG_LIVE_KEYS)
@@ -864,22 +863,8 @@ class WorkerClient:
             raise self._malformed(MSG_LIVE_KEYS, exc) from exc
         return keys
 
-    def set_trim_keep_fraction(self, keep: "float | None") -> None:
-        self.call(MSG_SET_KEEP, struct.pack(
-            "<d", np.nan if keep is None else keep))
-
-    def set_rebuild_threshold(self, threshold: float) -> None:
-        self.call(MSG_SET_THRESHOLD, struct.pack("<d", threshold))
-
-    def rebuild(self) -> None:
-        self.call(MSG_REBUILD)
-
     def digest(self) -> str:
-        body = self.call(MSG_DIGEST)
-        try:
-            return body.decode()
-        except UnicodeDecodeError as exc:
-            raise self._malformed(MSG_DIGEST, exc) from exc
+        return self.digest_reply(self.call(MSG_DIGEST))
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:

@@ -42,7 +42,6 @@ __all__ = [
     "MSG_INSERT",
     "MSG_LIVE_KEYS",
     "MSG_LOOKUP",
-    "MSG_RANGE",
     "MSG_REBUILD",
     "MSG_REPLAY",
     "MSG_SET_KEEP",
@@ -230,19 +229,20 @@ def validate_result(payload: object) -> dict:
 # ---------------------------------------------------------------------
 #: Version byte carried by every frame (and by the build spec).  Bump
 #: on any message-layout change; both sides reject a mismatch.
-PROTOCOL_VERSION = 2
+#: Version 3 retired RANGE (code 5); no code was renumbered.
+PROTOCOL_VERSION = 3
 
 #: Frame header: little-endian ``version(u8) code(u8) seq(u64)``.
 FRAME = struct.Struct("<BBQ")
 
-# Request codes — every one must have a worker dispatch arm and a
-# client wrapper; REP007 cross-checks both directions.
+# Request codes — REP007 cross-checks both directions: each needs a
+# consumer (its dispatch arm) in repro.cluster.transport, and every
+# MSG_ name used there must be declared here.
 MSG_REPLAY = 1       # body: encoded event batch -> found + probes
 #                      + WorkerStats taken after the replay
 MSG_LOOKUP = 2       # body: i64 keys            -> found + probes
 MSG_INSERT = 3       # body: i64 keys            -> ()
 MSG_DELETE = 4       # body: i64 keys            -> ()
-MSG_RANGE = 5        # body: (lo, hi)            -> i64 cost
 MSG_STATS = 6        # body: ()                  -> WorkerStats
 MSG_LIVE_KEYS = 7    # body: ()                  -> i64 keys
 MSG_SET_KEEP = 8     # body: f64 (NaN = None)    -> ()
@@ -256,7 +256,6 @@ REQUEST_CODES = {
     "MSG_LOOKUP": MSG_LOOKUP,
     "MSG_INSERT": MSG_INSERT,
     "MSG_DELETE": MSG_DELETE,
-    "MSG_RANGE": MSG_RANGE,
     "MSG_STATS": MSG_STATS,
     "MSG_LIVE_KEYS": MSG_LIVE_KEYS,
     "MSG_SET_KEEP": MSG_SET_KEEP,

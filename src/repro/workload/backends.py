@@ -806,8 +806,9 @@ class DynamicBackend(ServingBackend):
             # backend); the index itself keeps its strict
             # duplicate-rejecting contract, so membership is checked
             # here before handing the key down.
-            if not self._index.contains(int(key)):
-                self._index.insert(int(key))
+            if not self._index.contains(int(key)) \
+                    and self._index.insert(int(key)):
+                self._drop_orphans()
 
     def set_rebuild_threshold(self, threshold: float) -> None:
         super().set_rebuild_threshold(threshold)
@@ -910,8 +911,17 @@ class DynamicBackend(ServingBackend):
             # The fresh insert whose buffer append crossed the index's
             # retrain threshold: run exactly that merge.
             self._index.flush()
+            self._drop_orphans()
         else:
             self.rebuild()
+
+    def _drop_orphans(self) -> None:
+        """After a retrain (buffer empty), keep the tombstones of keys
+        it kept: one that drops TRIM's rejects drops those keys too."""
+        index = self._index
+        self._tombs = self._tombs[
+            sorted_member(index.rmi.store.keys, self._tombs)
+            | sorted_member(index.quarantine_keys, self._tombs)]
 
     def _apply_effects(self, eff: np.ndarray,
                        sub_key: np.ndarray) -> None:

@@ -96,10 +96,9 @@ FOUND = _pack_bool(np.ones(4, dtype=bool))
     (lambda c: c.lookup(np.ones(4, np.int64)),
      FOUND + b"\x04\x00", "MSG_LOOKUP"),
     (lambda c: c.stats(), STATS[:-1], "MSG_STATS"),
-    (lambda c: c.range_scan(0, 10), b"\x00" * 4, "MSG_RANGE"),
     (lambda c: c.live_keys(), _pack_i64(np.arange(3))[:-8],
      "MSG_LIVE_KEYS"),
-), ids=("replay", "lookup", "stats", "range_scan", "live_keys"))
+), ids=("replay", "lookup", "stats", "live_keys"))
 def test_truncated_body_names_slot_and_message(client, monkeypatch, call,
                                                body, message):
     monkeypatch.setattr(client, "_conn", StubPipe(ok_body(body)))

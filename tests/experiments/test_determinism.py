@@ -3,9 +3,9 @@
 Three guarantees are pinned here:
 
 1. **Parallelism is invisible** — the same config and seed produce
-   identical aggregated results at ``jobs=1`` and ``jobs=4``, for both
-   the process and the thread executor, with and without
-   checkpoint/resume.
+   identical aggregated results at ``jobs=1`` and ``jobs=4`` (the
+   regression sweep at ``jobs=8`` too), for both the process and the
+   thread executor, with and without checkpoint/resume.
 2. **The engine reproduces the serial reference path** — golden grids
    recorded from plain serial loops (same machine, same numpy) are
    matched value for value.  The golden files live in
@@ -54,6 +54,11 @@ class TestJobsParity:
     def test_jobs_1_and_4_identical(self):
         serial = run_sweep(SMALL_CONFIG, jobs=1)
         parallel = run_sweep(SMALL_CONFIG, jobs=4)
+        assert summaries_of(serial) == summaries_of(parallel)
+
+    def test_jobs_1_and_8_identical(self):
+        serial = run_sweep(SMALL_CONFIG, jobs=1)
+        parallel = run_sweep(SMALL_CONFIG, jobs=8)
         assert summaries_of(serial) == summaries_of(parallel)
 
     def test_checkpointed_resume_identical(self, tmp_path):

@@ -7,9 +7,8 @@ router with a walk over the single-op surface both share:
 then inserts), so every rebuild fires at the op where pending updates
 cross the threshold.  The simulators look ``replay_ops`` up on the
 instance every tick, so a wrapped target runs through the same tick
-driver as production.  Imported as ``replay_oracle``, not from
-``conftest``: in a full run that name resolves to
-``benchmarks/conftest.py``.
+driver as production.  Imported as ``replay_oracle``, a plain
+module, rather than from ``conftest``, which pytest loads itself.
 """
 
 import dataclasses
