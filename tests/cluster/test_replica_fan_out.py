@@ -1,7 +1,9 @@
 """Replica groups send to every replica before reading any reply.
 
-A tick costs one REPLAY and at most one LOOKUP per live replica, a
-worker error leaves no reply unread, and a replica killed between
+A tick costs one REPLAY and at most one LOOKUP per live replica, and
+a defended one adds only the settings that changed; a worker error
+leaves no reply unread and a failing mutation reaches every replica;
+a range scan is a lookup of its ``lo``; and a replica killed between
 ticks is declared dead without stalling the run.
 """
 
@@ -226,7 +228,8 @@ def test_setter_updates_the_cached_stats():
                          n_replicas=3)
     try:
         kinds = np.asarray([OP_QUERY, OP_INSERT], dtype=np.int8)
-        group.replay_ops(kinds, np.asarray([100, 101]), np.zeros(2))
+        group.replay_ops(kinds, np.asarray([100, 101]),
+                         np.zeros(2, dtype=np.int64))
         group.set_rebuild_threshold(0.25)
         group.set_trim_keep_fraction(None)
         cached = dict(group._stats)
@@ -286,7 +289,7 @@ def test_range_scan_prices_the_lo_lookup(read_mode, quarantined,
     backends["poisoned"].insert_batch(POISON)
     kinds = np.asarray([OP_QUERY], dtype=np.int8)
     try:
-        group.replay_ops(kinds, KEYS[:1], np.zeros(1))
+        group.replay_ops(kinds, KEYS[:1], np.zeros(1, dtype=np.int64))
         assert group.replica_digests() == [
             backends[name].state_digest()
             for name in ("poisoned", "healthy", "healthy")]
