@@ -88,7 +88,10 @@ def greedy_poison(keyset: KeySet, n_poison: int,
 
     Each iteration evaluates every gap endpoint of the current
     augmented keyset in one vectorised pass and injects the argmax.
-    Overall complexity O(p * n).
+    The workspace keeps the gap table (endpoints and their ranks)
+    across iterations and updates it per insertion, so an iteration
+    is O(n) arithmetic with no search over the candidates. Overall
+    complexity O(p * n).
 
     Parameters
     ----------
@@ -107,7 +110,7 @@ def greedy_poison(keyset: KeySet, n_poison: int,
     losses: list[float] = []
     exhausted = False
     if interior_only:
-        # Hot path: reusable buffers, in-place math, O(n) per step.
+        # Hot path: reusable buffers, a kept gap table, in-place math.
         workspace = GreedyWorkspace(keyset.keys, n_poison)
         for _ in range(n_poison):
             try:

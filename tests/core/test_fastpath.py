@@ -34,6 +34,81 @@ class TestWorkspaceBasics:
             ws.best_candidate()
 
 
+class TestWorkspaceMisuse:
+    """A key no gap holds is a named error, and changes nothing."""
+
+    @pytest.mark.parametrize("key", [20, 45, 5, 10, 30])
+    def test_insert_outside_every_gap_names_the_key(self, key):
+        ws = GreedyWorkspace(np.array([10, 20, 30], dtype=np.int64), 3)
+        with pytest.raises(ValueError, match=f"key {key} is not"):
+            ws.insert(key)
+        assert ws.keys.tolist() == [10, 20, 30]
+        assert ws.gap_table[0].tolist() == [11, 19, 21, 29]
+
+    def test_capacity_error_comes_first(self):
+        ws = GreedyWorkspace(np.array([1, 5], dtype=np.int64), 1)
+        ws.insert(3)
+        with pytest.raises(RuntimeError, match="capacity"):
+            ws.insert(5)
+
+    @pytest.mark.parametrize("keys, named", [
+        ([10, 30, 20], "key 20 follows 30"),
+        ([10, 20, 20, 30], "key 20 follows 20"),
+    ])
+    def test_unsorted_or_duplicate_initial_keys(self, keys, named):
+        with pytest.raises(ValueError, match=named):
+            GreedyWorkspace(np.array(keys, dtype=np.int64), 1)
+
+
+def assert_table_matches(ws: GreedyWorkspace) -> None:
+    """The kept gap table equals one derived from the keys."""
+    cand, at, rank = ws.gap_table
+    assert cand.tolist() == _interior_endpoints_raw(ws.keys).tolist()
+    want = ws.keys.searchsorted(cand)
+    assert at.tolist() == want.tolist()
+    assert rank.tolist() == (want + 1).astype(np.float64).tolist()
+
+
+class TestGapTable:
+    def test_greedy_choices_to_exhaustion(self):
+        keys = np.array([0, 2, 3, 7, 8, 9, 15, 16, 30], dtype=np.int64)
+        slots = 31 - keys.size  # every unoccupied key of [0, 30]
+        ws = GreedyWorkspace(keys, slots)
+        assert_table_matches(ws)
+        for _ in range(slots):
+            key, _ = ws.best_candidate()
+            ws.insert(key)
+            assert_table_matches(ws)
+        assert ws.keys.tolist() == list(range(31))
+        assert ws.gap_table[0].size == 0
+        with pytest.raises(KeySpaceExhausted):
+            ws.best_candidate()
+
+    def test_inserts_off_the_endpoints_split_a_gap(self):
+        ws = GreedyWorkspace(np.array([10, 20, 30], dtype=np.int64), 2)
+        for key in (25, 15):
+            ws.insert(key)
+            assert_table_matches(ws)
+        assert ws.gap_table[0].tolist() == [11, 14, 16, 19,
+                                            21, 24, 26, 29]
+
+    def test_single_slot_gaps_close(self):
+        ws = GreedyWorkspace(np.array([1, 3, 5, 7], dtype=np.int64), 3)
+        for key in (4, 2, 6):
+            ws.insert(key)
+            assert_table_matches(ws)
+        assert ws.keys.tolist() == list(range(1, 8))
+        with pytest.raises(KeySpaceExhausted):
+            ws.best_candidate()
+
+    def test_first_and_last_gaps(self):
+        ws = GreedyWorkspace(np.array([0, 5, 10], dtype=np.int64), 6)
+        for key in (1, 9, 4, 6, 2, 8):
+            ws.insert(key)
+            assert_table_matches(ws)
+        assert ws.gap_table[0].tolist() == [3, 3, 7, 7]
+
+
 class TestWorkspaceVsReference:
     def test_single_step_matches_reference(self, rng):
         ks = uniform_keyset(100, Domain(0, 1500), rng)
