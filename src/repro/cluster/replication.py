@@ -18,11 +18,13 @@ top.  Semantics:
   q-th-fastest replica answers.  ``read_mode="primary"`` instead
   trusts the lowest-index live replica alone (the naive arm of the
   poisoned-replica duel).  A range scan is a lookup of ``lo``;
-* **stats ride on the replay**: each replica's REPLAY reply carries
-  its post-replay stats, which the scalar surface and the detector
-  read until a mutation or rebuild drops them (the next read then
-  polls STATS); a setter sends only a changed value, and updates its
-  field in those stats;
+* **settings and stats ride the state-changing requests**: a setter
+  only validates and stores its value, and every REPLAY, INSERT,
+  DELETE and REBUILD starts with the group's two settings — both act
+  only at a rebuild check, which only those requests reach.  Each
+  reply carries the replica's stats after it, which the scalar
+  surface and the detector read from the client; a replica whose
+  last such request failed has none, and reading them raises;
 * **divergence detection**: a poisoned replica serves *valid-looking*
   results, so byte-level checks can't see it — but its error-bound
   series drifts.  :class:`DivergenceDetector` compares each replica's
@@ -41,7 +43,7 @@ replicas the group is pinned bit-identical to one in-process backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -57,9 +59,6 @@ from .transport import (
     MSG_LOOKUP,
     MSG_REBUILD,
     MSG_REPLAY,
-    MSG_SET_KEEP,
-    MSG_SET_THRESHOLD,
-    MSG_STATS,
     ProtocolError,
     ReplicaDeadError,
     ShardWorkerError,
@@ -69,8 +68,8 @@ from .transport import (
     WorkerStats,
     keys_request,
     replay_request,
+    settings_request,
     spawn_context,
-    value_request,
 )
 
 __all__ = ["DivergenceConfig", "DivergenceDetector", "ReplicaGroup",
@@ -138,14 +137,13 @@ class ReplicaGroup:
         self._read_mode = read_mode
         self._threshold = rebuild_threshold
         self._keep: "float | None" = build_args.get("trim_keep_fraction")
-        self.supports_trim = BACKENDS[backend].supports_trim
+        #: The backend class, whose validators check the settings.
+        self._backend_cls = BACKENDS[backend]
+        self.supports_trim = self._backend_cls.supports_trim
         self._detector = (None if divergence is None
                           else DivergenceDetector(divergence,
                                                   n_replicas))
         self._flagged: "list[int]" = []
-        #: Each replica's stats as of its last replay or STATS poll;
-        #: a mutation or rebuild drops them, a setter updates its field.
-        self._stats: "dict[int, WorkerStats]" = {}
         self._closed = False
         ctx = ctx if ctx is not None else spawn_context()
         self._replicas = [
@@ -256,6 +254,7 @@ class ReplicaGroup:
         n_reads = int(((kinds == OP_QUERY)
                        | (kinds == OP_RANGE)).sum())
         metrics = self._book.metrics
+        settings = self._settings()
         shared = None
         requests = []
         for i, client in self._live():
@@ -265,7 +264,7 @@ class ReplicaGroup:
                 # this replica's batch only, after the tick's real
                 # ops — reads this tick still agree, the divergence
                 # shows up in the next ticks' error bounds.
-                body = replay_request(
+                body = settings + replay_request(
                     metrics,
                     np.concatenate([kinds, np.full(
                         poison.size, OP_INSERT, dtype=kinds.dtype)]),
@@ -276,15 +275,14 @@ class ReplicaGroup:
                         np.zeros(poison.size, dtype=np.int64)]))
             else:
                 if shared is None:
-                    shared = replay_request(metrics, kinds, keys, aux)
+                    shared = settings + replay_request(
+                        metrics, kinds, keys, aux)
                 body = shared
             requests.append((i, client, body))
-        self._stats.clear()
         replies = self._fan_out(MSG_REPLAY, requests,
                                 WorkerClient.replay_reply)
-        self._stats.update((i, stats) for i, (_, _, stats) in replies)
         return self._read_rows(
-            [(i, found, probes) for i, (found, probes, _) in replies],
+            [(i, found, probes) for i, (found, probes) in replies],
             n_reads)
 
     def lookup_batch(self, keys: np.ndarray,
@@ -309,27 +307,29 @@ class ReplicaGroup:
         return int(probes[0])
 
     def insert_batch(self, keys: np.ndarray) -> None:
-        self._stats.clear()
-        self._broadcast(MSG_INSERT, keys_request(self._book.metrics, keys))
+        self._mutate(MSG_INSERT, keys_request(self._book.metrics, keys))
 
     def delete_batch(self, keys: np.ndarray) -> None:
-        self._stats.clear()
-        self._broadcast(MSG_DELETE, keys_request(self._book.metrics, keys))
+        self._mutate(MSG_DELETE, keys_request(self._book.metrics, keys))
 
     def rebuild(self) -> None:
-        self._stats.clear()
-        self._broadcast(MSG_REBUILD)
+        self._mutate(MSG_REBUILD)
+
+    def _settings(self) -> bytes:
+        return settings_request(self._threshold, self._keep)
+
+    def _mutate(self, code: int, body: bytes = b"") -> None:
+        """An INSERT, DELETE or REBUILD to every live replica, after
+        the group's settings."""
+        self._broadcast(code, self._settings() + body,
+                        lambda client, reply: client.stats_reply(
+                            code, reply))
 
     # -- scalar surface (primary replica's view) -----------------------
     def _primary_stats(self) -> "WorkerStats | None":
-        """The primary's stats as of its last replay, else polled."""
-        live = self._live()
-        if not live:
-            return None
-        primary, client = live[0]
-        if primary not in self._stats:
-            self._stats[primary] = client.stats()
-        return self._stats[primary]
+        """The primary's stats as of its last state-changing reply."""
+        primary = self._primary()
+        return None if primary is None else primary.stats
 
     @property
     def n_keys(self) -> int:
@@ -369,7 +369,7 @@ class ReplicaGroup:
             MSG_DIGEST, decode=WorkerClient.digest_reply)]
 
     # -- tuner hooks (router is the only writer, so the local copy
-    # is authoritative and costs no round trip) -----------------------
+    # is authoritative; it rides the next state-changing request) -----
     @property
     def rebuild_threshold(self) -> float:
         return self._threshold
@@ -379,22 +379,12 @@ class ReplicaGroup:
         return self._keep
 
     def set_rebuild_threshold(self, threshold: float) -> None:
-        if threshold != self._threshold:
-            self._set(MSG_SET_THRESHOLD, "rebuild_threshold", threshold)
-            self._threshold = threshold
+        self._backend_cls._validate_threshold(threshold)
+        self._threshold = threshold
 
     def set_trim_keep_fraction(self, fraction: "float | None") -> None:
-        if fraction != self._keep:
-            self._set(MSG_SET_KEEP, "trim_keep_fraction", fraction)
-            self._keep = fraction
-
-    def _set(self, code: int, field: str, value: "float | None") -> None:
-        """Send a changed setting to every live replica.  Both settings
-        act only at the next rebuild check, so the cached stats stay
-        exact with ``field`` replaced."""
-        self._broadcast(code, value_request(value))
-        self._stats = {i: replace(stats, **{field: value})
-                       for i, stats in self._stats.items()}
+        self._backend_cls._validate_keep_fraction(fraction)
+        self._keep = fraction
 
     # -- divergence detection ------------------------------------------
     def detect(self) -> "list[int]":
@@ -402,14 +392,8 @@ class ReplicaGroup:
         replica out of band for ``patience`` consecutive ticks."""
         if self._detector is None:
             return []
-        live = self._live()
-        self._stats.update(self._fan_out(
-            MSG_STATS, [(i, client, b"") for i, client in live
-                        if i not in self._stats],
-            WorkerClient.stats_reply))
         flagged = self._detector.observe(
-            [(i, self._stats[i].error_bound) for i, _ in live
-             if i in self._stats])
+            [(i, client.stats.error_bound) for i, client in self._live()])
         for replica in flagged:
             self._book.quarantine_replica(self._shard, replica)
             self._flagged.append(replica)

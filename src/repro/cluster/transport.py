@@ -14,10 +14,13 @@ pickled Python objects.  Three layers:
   fails loudly on either side, and a worker-side exception comes back
   as an ERR frame the client re-raises as :class:`ShardWorkerError`
   naming the shard and replica; a reply the client cannot parse is a
-  :class:`ProtocolError` naming the shard, replica and message.  A
-  REPLAY reply carries the backend's :class:`WorkerStats` after the
-  replay, so a tick needs no STATS round trip; a request is sent
-  (:meth:`WorkerClient.send`) apart from reading its reply
+  :class:`ProtocolError` naming the shard, replica and message.  The
+  requests that can change a replica (REPLAY, INSERT, DELETE,
+  REBUILD) start with the group's two defense settings, which the
+  worker applies before serving, and their replies, like the
+  handshake, end with the replica's :class:`WorkerStats` — so no
+  request exists only to set a value or to read one.  A request is
+  sent (:meth:`WorkerClient.send`) apart from reading its reply
   (:meth:`WorkerClient.receive`), so a replica group can have every
   replica working on a request before it reads any answer (bodies
   from the ``*_request`` helpers, replies through ``*_reply``);
@@ -66,10 +69,7 @@ from ..contracts import (
     MSG_LOOKUP,
     MSG_REBUILD,
     MSG_REPLAY,
-    MSG_SET_KEEP,
-    MSG_SET_THRESHOLD,
     MSG_SHUTDOWN,
-    MSG_STATS,
     PROTOCOL_VERSION,
     REPLY_ERR,
     REPLY_OK,
@@ -92,7 +92,14 @@ __all__ = [
 # implements both endpoints and re-exports the names its established
 # importers use.
 
-_STATS = struct.Struct("<qqqqddd")
+_STATS = struct.Struct("<qqqqd")
+#: The settings prefix: rebuild threshold, TRIM keep fraction (NaN =
+#: None).
+_SETTINGS = struct.Struct("<dd")
+#: The requests that can change a replica's state — the only ones
+#: that reach a rebuild check, so the only ones that need the
+#: settings, and the only ones whose reply can carry new stats.
+_MUTATING = frozenset({MSG_REPLAY, MSG_INSERT, MSG_DELETE, MSG_REBUILD})
 _REQUEST_NAMES = {code: name for name, code in REQUEST_CODES.items()}
 
 #: The process that imported this module: a worker whose pid differs
@@ -181,37 +188,31 @@ def _unpack_bool(buf: bytes, off: int) -> tuple[np.ndarray, int]:
 
 @dataclass(frozen=True)
 class WorkerStats:
-    """The scalar serving surface of a backend: a STATS reply, and
-    the trailer of a REPLAY reply."""
+    """The scalar serving surface of a backend: the trailer of the
+    handshake and of every reply to a state-changing request.  The
+    two settings are not in it: the group that sends them answers
+    for them."""
 
     n_keys: int
     retrain_count: int
     pending_updates: int
     quarantine_size: int
     error_bound: float
-    rebuild_threshold: float
-    trim_keep_fraction: "float | None"
 
     def pack(self) -> bytes:
-        keep = (np.nan if self.trim_keep_fraction is None
-                else self.trim_keep_fraction)
         return _STATS.pack(self.n_keys, self.retrain_count,
                            self.pending_updates, self.quarantine_size,
-                           self.error_bound, self.rebuild_threshold,
-                           keep)
+                           self.error_bound)
 
     @classmethod
     def of(cls, backend: ServingBackend) -> "WorkerStats":
         return cls(backend.n_keys, backend.retrain_count,
                    backend.pending_updates, backend.quarantine_size,
-                   backend.error_bound(), backend.rebuild_threshold,
-                   backend.trim_keep_fraction)
+                   backend.error_bound())
 
     @classmethod
     def unpack(cls, body: bytes) -> "WorkerStats":
-        n, r, p, q, eb, thr, keep = _STATS.unpack(body)
-        return cls(n, r, p, q, eb, thr,
-                   None if np.isnan(keep) else keep)
+        return cls(*_STATS.unpack(body))
 
 
 # ---------------------------------------------------------------------
@@ -245,39 +246,27 @@ def decode_build_spec(blob: bytes) -> ServingBackend:
 # ---------------------------------------------------------------------
 def _dispatch(backend: ServingBackend, code: int,
               body: bytes) -> bytes:
-    if code == MSG_REPLAY:
-        kinds, keys, aux = decode_event_batch(body)
-        found, probes = backend.replay_ops(kinds, keys, aux)
-        return (_pack_bool(found) + _pack_i64(probes)
-                + WorkerStats.of(backend).pack())
+    if code in _MUTATING:
+        threshold, keep = _SETTINGS.unpack_from(body)
+        backend.set_rebuild_threshold(threshold)
+        backend.set_trim_keep_fraction(None if np.isnan(keep) else keep)
+        body, out = body[_SETTINGS.size:], b""
+        if code == MSG_REPLAY:
+            found, probes = backend.replay_ops(*decode_event_batch(body))
+            out = _pack_bool(found) + _pack_i64(probes)
+        elif code == MSG_REBUILD:
+            backend.rebuild()
+        elif code == MSG_INSERT:
+            backend.insert_batch(_unpack_i64(body, 0)[0])
+        else:
+            backend.delete_batch(_unpack_i64(body, 0)[0])
+        return out + WorkerStats.of(backend).pack()
     if code == MSG_LOOKUP:
         keys, _ = _unpack_i64(body, 0)
         found, probes = backend.lookup_batch(keys)
         return _pack_bool(found) + _pack_i64(probes)
-    if code == MSG_INSERT:
-        keys, _ = _unpack_i64(body, 0)
-        backend.insert_batch(keys)
-        return b""
-    if code == MSG_DELETE:
-        keys, _ = _unpack_i64(body, 0)
-        backend.delete_batch(keys)
-        return b""
-    if code == MSG_STATS:
-        return WorkerStats.of(backend).pack()
     if code == MSG_LIVE_KEYS:
         return _pack_i64(backend.live_keys())
-    if code == MSG_SET_KEEP:
-        (keep,) = struct.unpack("<d", body)
-        backend.set_trim_keep_fraction(
-            None if np.isnan(keep) else keep)
-        return b""
-    if code == MSG_SET_THRESHOLD:
-        (threshold,) = struct.unpack("<d", body)
-        backend.set_rebuild_threshold(threshold)
-        return b""
-    if code == MSG_REBUILD:
-        backend.rebuild()
-        return b""
     if code == MSG_DIGEST:
         return backend.state_digest().encode()
     raise ProtocolError(f"unknown message code: {code}")
@@ -286,7 +275,8 @@ def _dispatch(backend: ServingBackend, code: int,
 def shard_worker_main(conn, build_blob: bytes) -> None:
     """The per-replica serve loop: build, ack, dispatch until told
     to stop (or until the router hangs up the pipe).  The ack's body
-    says whether this module came preloaded from an ancestor."""
+    says whether this module came preloaded from an ancestor, then
+    carries the replica's first stats."""
     try:
         backend = decode_build_spec(build_blob)
     except BaseException as exc:  # surface build failures as the ack
@@ -298,7 +288,8 @@ def shard_worker_main(conn, build_blob: bytes) -> None:
             conn.close()
         return
     conn.send_bytes(_frame(REPLY_OK, 0,
-                           bytes([os.getpid() != _IMPORT_PID])))
+                           bytes([os.getpid() != _IMPORT_PID])
+                           + WorkerStats.of(backend).pack()))
     while True:
         try:
             raw = conn.recv_bytes()
@@ -410,7 +401,8 @@ class TransportConfig:
     Latency is *virtual* (model milliseconds, accounted per tick as
     the ``latency_ms`` series) so runs stay deterministic and fast;
     ``wall_timeout_s`` is the only real clock — a safety net against
-    a genuinely wedged worker process.  With ``latency_mean_ms == 0``
+    a genuinely wedged worker process, which is killed and declared
+    dead once a reply is that late.  With ``latency_mean_ms == 0``
     and no faults the book is inert and the transport is pinned
     bit-identical to the in-process router.
     """
@@ -611,20 +603,26 @@ def keys_request(metrics, keys: np.ndarray) -> bytes:
     return _timed(metrics, "transport.encode", _pack_i64, keys)
 
 
-def value_request(value: "float | None") -> bytes:
-    """A SET_THRESHOLD or SET_KEEP body: one f64, NaN for ``None``."""
-    return struct.pack("<d", np.nan if value is None else value)
+def settings_request(threshold: float, keep: "float | None") -> bytes:
+    """The settings prefix of a REPLAY, INSERT, DELETE or REBUILD body:
+    the rebuild threshold and the TRIM keep fraction, NaN for
+    ``None``."""
+    return _SETTINGS.pack(threshold, np.nan if keep is None else keep)
 
 
 class WorkerClient:
     """One replica's pipe endpoint, with the book's retry policy.
 
-    Every request runs the attempt loop: consult the book (injected
-    timeouts, latency draws), send the frame, wait for the reply
-    under the real wall deadline, back off and retry on failure.  A
-    replica that exhausts ``failover_budget`` attempts is declared
-    dead in the book, its process reaped, and
-    :class:`ReplicaDeadError` raised for the group to absorb.
+    A request runs the attempt loop up to a successful send: consult
+    the book (injected timeouts, latency draws), send the frame, back
+    off and retry on a send failure.  A replica that exhausts
+    ``failover_budget`` attempts is declared dead.  Its reply is read
+    under the real wall deadline, and a failure there is final: a
+    worker that hangs up or stays silent is declared dead at once,
+    with nothing resent, since a worker that resumed would apply the
+    request a second time.  A dead replica's process is killed and
+    reaped, and :class:`ReplicaDeadError` raised for the group to
+    absorb.
 
     :meth:`call` is :meth:`send` then :meth:`receive`; a caller may
     send to several clients before it receives from any.
@@ -638,9 +636,10 @@ class WorkerClient:
         self._replica = int(replica)
         self._seq = 0
         self._closed = False
-        #: The request in flight: (code, body, attempt, seq, rpc
-        #: start), set by a send and cleared by its receive.
+        #: The request in flight: (seq, rpc start), set by a send and
+        #: cleared by its receive.
         self._inflight = None
+        self._stats: "WorkerStats | None" = None
         ctx = ctx if ctx is not None else spawn_context()
         parent, child = ctx.Pipe()
         blob = encode_build_spec(backend, rebuild_threshold,
@@ -667,12 +666,18 @@ class WorkerClient:
             raise ShardWorkerError(self._shard, (
                 f"replica {self._replica}: "
                 f"{body.decode(errors='replace')}"))
-        if ctx.get_start_method() == "forkserver" and body != b"\x01":
+        if ctx.get_start_method() == "forkserver" \
+                and body[:1] != b"\x01":
             self.close()
             raise ShardWorkerError(self._shard, (
                 f"replica {self._replica}: the fork server did not "
                 f"preload {_PRELOAD}, so the worker imported it "
                 f"itself; start workers through spawn_context()"))
+        try:
+            self.stats_reply(None, body[1:])
+        except ProtocolError:
+            self.close()
+            raise
 
     @property
     def shard(self) -> int:
@@ -681,6 +686,18 @@ class WorkerClient:
     @property
     def replica(self) -> int:
         return self._replica
+
+    @property
+    def stats(self) -> WorkerStats:
+        """The replica's stats after its handshake or its last answered
+        REPLAY, INSERT, DELETE or REBUILD.  From the send of such a
+        request until its reply decodes — so after one that failed —
+        reading raises :class:`ShardWorkerError` naming the slot."""
+        if self._stats is None:
+            raise ShardWorkerError(self._shard, (
+                f"replica {self._replica}: no stats: its last "
+                f"state-changing request has no valid reply"))
+        return self._stats
 
     def _recv(self, timeout: float) -> tuple[int, int, bytes]:
         if not self._conn.poll(timeout):
@@ -695,12 +712,16 @@ class WorkerClient:
                 f"shard {self._shard} replica {self._replica}: "
                 f"{exc}") from exc
 
-    def _malformed(self, code: int, exc: Exception) -> ProtocolError:
+    def _malformed(self, code: "int | None",
+                   exc: Exception) -> ProtocolError:
         """A reply body that does not decode (say, one shorter than its
-        own length prefix), named by its slot and message."""
+        own length prefix), named by its slot and message; code
+        ``None`` is the handshake."""
+        what = ("handshake" if code is None
+                else f"{_REQUEST_NAMES[code]} reply")
         return ProtocolError(
             f"shard {self._shard} replica {self._replica}: malformed "
-            f"{_REQUEST_NAMES[code]} reply: {exc}")
+            f"{what}: {exc}")
 
     def _columns(self, code: int, body: bytes, n: int | None = None,
                  trailer: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -724,22 +745,22 @@ class WorkerClient:
             raise self._malformed(code, exc) from exc
         return found, probes
 
-    # -- the attempt loop, in two halves -------------------------------
+    # -- a request, in two halves --------------------------------------
     def send(self, code: int, body: bytes = b"") -> None:
         """Send one request: the attempt loop up to a successful send.
 
         Injected timeouts and a dead slot are decided here; a replica
-        that spends its budget raises :class:`ReplicaDeadError`.
+        that spends its budget raises :class:`ReplicaDeadError`.  A
+        state-changing request clears :attr:`stats` until its reply.
         """
         if self._closed or self._book.is_dead(self._shard,
                                               self._replica):
             raise ReplicaDeadError(self._shard, self._replica)
-        self._attempt(code, body, 0)
-
-    def _attempt(self, code: int, body: bytes, first: int) -> None:
+        if code in _MUTATING:
+            self._stats = None
         book = self._book
         metrics = book.metrics
-        for attempt in range(first, book.config.failover_budget):
+        for attempt in range(book.config.failover_budget):
             if not book.plan_attempt(self._shard, self._replica,
                                      attempt):
                 if metrics is not None:
@@ -749,44 +770,45 @@ class WorkerClient:
             self._seq += 1
             rpc_started = (time.perf_counter()
                            if metrics is not None else 0.0)
-            self._inflight = (code, body, attempt, seq, rpc_started)
+            self._inflight = (seq, rpc_started)
             try:
                 self._conn.send_bytes(_frame(code, seq, body))
             except (EOFError, OSError):
-                self._trouble(rpc_started)
+                book.note_trouble(self._shard, self._replica)
+                if metrics is not None:
+                    metrics.inc("transport.retries")
+                    metrics.observe("transport.retry",
+                                    time.perf_counter() - rpc_started)
                 continue  # real failure: worker gone
             return
-        self._inflight = None
-        book.mark_dead(self._shard, self._replica)
-        self.close()
-        raise ReplicaDeadError(self._shard, self._replica)
+        raise self._declare_dead()
 
-    def _trouble(self, rpc_started: float) -> None:
-        self._book.note_trouble(self._shard, self._replica)
-        metrics = self._book.metrics
-        if metrics is not None:
-            metrics.inc("transport.retries")
-            metrics.observe("transport.retry",
-                            time.perf_counter() - rpc_started)
+    def _declare_dead(self) -> ReplicaDeadError:
+        """Mark the replica dead in the book, kill and reap its
+        process; the error to raise."""
+        self._inflight = None
+        self._book.mark_dead(self._shard, self._replica)
+        self._closed = True
+        self._conn.close()
+        self._process.kill()
+        self._process.join()
+        return ReplicaDeadError(self._shard, self._replica)
 
     def receive(self) -> bytes:
         """The reply to the request :meth:`send` sent.
 
-        A worker gone or wedged resumes the attempt loop from the
-        next attempt (resending).  A reply out of sequence — say, one
-        a caller left unread — raises :class:`ProtocolError`, before
-        its code is looked at; a worker-side error raises
+        A worker gone or silent for ``wall_timeout_s`` is declared
+        dead (see the class docstring).  A reply out of sequence — say,
+        one a caller left unread — raises :class:`ProtocolError`,
+        before its code is looked at; a worker-side error raises
         :class:`ShardWorkerError`.
         """
-        while True:
-            code, body, attempt, seq, rpc_started = self._inflight
-            try:
-                rcode, rseq, rbody = self._recv(
-                    self._book.config.wall_timeout_s)
-                break
-            except (EOFError, OSError, TimeoutError):
-                self._trouble(rpc_started)
-                self._attempt(code, body, attempt + 1)
+        seq, rpc_started = self._inflight
+        try:
+            rcode, rseq, rbody = self._recv(
+                self._book.config.wall_timeout_s)
+        except (EOFError, OSError, TimeoutError) as exc:
+            raise self._declare_dead() from exc
         self._inflight = None
         metrics = self._book.metrics
         if metrics is not None:
@@ -808,27 +830,31 @@ class WorkerClient:
         self.send(code, body)
         return self.receive()
 
-    # -- typed wrappers ------------------------------------------------
+    # -- typed replies -------------------------------------------------
     def replay_reply(self, body: bytes,
-                     ) -> tuple[np.ndarray, np.ndarray, WorkerStats]:
-        """Found, probes and the post-replay stats of a REPLAY reply."""
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Found and probes of a REPLAY reply; its stats trailer
+        becomes :attr:`stats`."""
         found, probes = _timed(self._book.metrics, "transport.decode",
                                self._columns, MSG_REPLAY, body, None,
                                _STATS.size)
-        return found, probes, WorkerStats.unpack(body[-_STATS.size:])
+        self._stats = WorkerStats.unpack(body[-_STATS.size:])
+        return found, probes
+
+    def stats_reply(self, code: "int | None", body: bytes) -> None:
+        """Take the stats that are the whole of an INSERT, DELETE or
+        REBUILD reply (or, for code ``None``, the rest of the
+        handshake) as :attr:`stats`."""
+        try:
+            self._stats = WorkerStats.unpack(body)
+        except struct.error as exc:
+            raise self._malformed(code, exc) from exc
 
     def lookup_reply(self, body: bytes, n: int,
                      ) -> tuple[np.ndarray, np.ndarray]:
         """Found and probes of a LOOKUP reply for ``n`` keys."""
         return _timed(self._book.metrics, "transport.decode",
                       self._columns, MSG_LOOKUP, body, n)
-
-    def stats_reply(self, body: bytes) -> WorkerStats:
-        """The stats of a STATS reply."""
-        try:
-            return WorkerStats.unpack(body)
-        except struct.error as exc:
-            raise self._malformed(MSG_STATS, exc) from exc
 
     def digest_reply(self, body: bytes) -> str:
         """The state digest of a DIGEST reply."""
@@ -837,21 +863,11 @@ class WorkerClient:
         except UnicodeDecodeError as exc:
             raise self._malformed(MSG_DIGEST, exc) from exc
 
-    def replay(self, kinds: np.ndarray, keys: np.ndarray,
-               aux: np.ndarray,
-               ) -> tuple[np.ndarray, np.ndarray, WorkerStats]:
-        body = self.call(MSG_REPLAY, replay_request(
-            self._book.metrics, kinds, keys, aux))
-        return self.replay_reply(body)
-
     def lookup(self, keys: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray]:
         body = self.call(MSG_LOOKUP, keys_request(
             self._book.metrics, keys))
         return self.lookup_reply(body, len(keys))
-
-    def stats(self) -> WorkerStats:
-        return self.stats_reply(self.call(MSG_STATS))
 
     def live_keys(self) -> np.ndarray:
         body = self.call(MSG_LIVE_KEYS)
@@ -883,3 +899,6 @@ class WorkerClient:
         if self._process.is_alive():
             self._process.terminate()
             self._process.join(timeout=1.0)
+        if self._process.is_alive():  # stopped: SIGTERM waits for it
+            self._process.kill()
+            self._process.join()

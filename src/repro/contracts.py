@@ -44,10 +44,7 @@ __all__ = [
     "MSG_LOOKUP",
     "MSG_REBUILD",
     "MSG_REPLAY",
-    "MSG_SET_KEEP",
-    "MSG_SET_THRESHOLD",
     "MSG_SHUTDOWN",
-    "MSG_STATS",
     "PROTOCOL_VERSION",
     "REPLY_CODES",
     "REPLY_ERR",
@@ -229,8 +226,9 @@ def validate_result(payload: object) -> dict:
 # ---------------------------------------------------------------------
 #: Version byte carried by every frame (and by the build spec).  Bump
 #: on any message-layout change; both sides reject a mismatch.
-#: Version 3 retired RANGE (code 5); no code was renumbered.
-PROTOCOL_VERSION = 3
+#: Version 3 retired RANGE (code 5); version 4 retired STATS (6),
+#: SET_KEEP (8) and SET_THRESHOLD (9).  No code was renumbered.
+PROTOCOL_VERSION = 4
 
 #: Frame header: little-endian ``version(u8) code(u8) seq(u64)``.
 FRAME = struct.Struct("<BBQ")
@@ -238,36 +236,34 @@ FRAME = struct.Struct("<BBQ")
 # Request codes — REP007 cross-checks both directions: each needs a
 # consumer (its dispatch arm) in repro.cluster.transport, and every
 # MSG_ name used there must be declared here.
-MSG_REPLAY = 1       # body: encoded event batch -> found + probes
-#                      + WorkerStats taken after the replay
-MSG_LOOKUP = 2       # body: i64 keys            -> found + probes
-MSG_INSERT = 3       # body: i64 keys            -> ()
-MSG_DELETE = 4       # body: i64 keys            -> ()
-MSG_STATS = 6        # body: ()                  -> WorkerStats
-MSG_LIVE_KEYS = 7    # body: ()                  -> i64 keys
-MSG_SET_KEEP = 8     # body: f64 (NaN = None)    -> ()
-MSG_SET_THRESHOLD = 9  # body: f64               -> ()
-MSG_REBUILD = 10     # body: ()                  -> ()
-MSG_DIGEST = 11      # body: ()                  -> utf-8 digest
-MSG_SHUTDOWN = 12    # body: ()                  -> () then exit
+# ``settings`` is the rebuild threshold and the TRIM keep fraction
+# (f64 each, NaN for None), applied before serving; ``stats`` is the
+# packed WorkerStats after serving.
+MSG_REPLAY = 1       # body: settings + event batch -> found + probes
+#                                                      + stats
+MSG_LOOKUP = 2       # body: i64 keys               -> found + probes
+MSG_INSERT = 3       # body: settings + i64 keys    -> stats
+MSG_DELETE = 4       # body: settings + i64 keys    -> stats
+MSG_LIVE_KEYS = 7    # body: ()                     -> i64 keys
+MSG_REBUILD = 10     # body: settings               -> stats
+MSG_DIGEST = 11      # body: ()                     -> utf-8 digest
+MSG_SHUTDOWN = 12    # body: ()                     -> () then exit
 
 REQUEST_CODES = {
     "MSG_REPLAY": MSG_REPLAY,
     "MSG_LOOKUP": MSG_LOOKUP,
     "MSG_INSERT": MSG_INSERT,
     "MSG_DELETE": MSG_DELETE,
-    "MSG_STATS": MSG_STATS,
     "MSG_LIVE_KEYS": MSG_LIVE_KEYS,
-    "MSG_SET_KEEP": MSG_SET_KEEP,
-    "MSG_SET_THRESHOLD": MSG_SET_THRESHOLD,
     "MSG_REBUILD": MSG_REBUILD,
     "MSG_DIGEST": MSG_DIGEST,
     "MSG_SHUTDOWN": MSG_SHUTDOWN,
 }
 
 # Reply codes.  A worker's handshake is a REPLY_OK with seq 0 whose
-# body is one byte: 1 when an ancestor (the fork server) imported the
-# transport module, 0 when the worker imported it itself.
+# body is one byte — 1 when an ancestor (the fork server) imported the
+# transport module, 0 when the worker imported it itself — followed
+# by the replica's first stats.
 REPLY_OK = 100
 REPLY_ERR = 101      # body: utf-8 "<Type>: <message>"
 

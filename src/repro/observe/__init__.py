@@ -3,8 +3,8 @@
 Two pillars:
 
 * :mod:`repro.observe.metrics` — a deterministic
-  :class:`MetricsRegistry` (counters, gauges, timing histograms) and
-  a structured trace-event log, threaded through the simulators,
+  :class:`MetricsRegistry` (counters, timing histograms) and a
+  structured trace-event log, threaded through the simulators,
   router, transport, and sweep engine behind an opt-in hook
   (:func:`install` / :func:`active`).  Disabled, every hook is a
   single ``is None`` check; enabled, results stay bit-identical

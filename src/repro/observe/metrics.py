@@ -4,8 +4,8 @@ The observability contract mirrors how ``SweepStats`` already works:
 anything wall-clock stays out of canonical payloads and digests.  A
 :class:`MetricsRegistry` therefore keeps two kinds of state:
 
-* **Deterministic** — counters, gauges, and the per-tick trace-event
-  log.  These are pure functions of the replayed workload (op counts,
+* **Deterministic** — counters and the per-tick trace-event log.
+  These are pure functions of the replayed workload (op counts,
   tick counts, cells computed) and are bit-identical across runs,
   jobs, and executors.
 * **Wall-clock** — timing histograms (count / total / min / max
@@ -75,12 +75,11 @@ class TimingStat:
 
 
 class MetricsRegistry:
-    """Counters, gauges, timing histograms, and a trace-event log."""
+    """Counters, timing histograms, and a trace-event log."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
-        self._gauges: dict[str, float] = {}
         self._timings: dict[str, TimingStat] = {}
         self._events: list[dict] = []
 
@@ -91,11 +90,6 @@ class MetricsRegistry:
         """Add ``value`` to the counter ``name`` (deterministic)."""
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set the gauge ``name`` to its latest ``value``."""
-        with self._lock:
-            self._gauges[name] = float(value)
 
     def observe(self, name: str, seconds: float) -> None:
         """Record one wall-clock observation for stage ``name``."""
@@ -125,11 +119,6 @@ class MetricsRegistry:
             return dict(self._counters)
 
     @property
-    def gauges(self) -> dict[str, float]:
-        with self._lock:
-            return dict(self._gauges)
-
-    @property
     def timings(self) -> dict[str, TimingStat]:
         with self._lock:
             return dict(self._timings)
@@ -141,40 +130,19 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         with self._lock:
-            return (len(self._counters) + len(self._gauges)
-                    + len(self._timings))
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one (sums and extend)."""
-        for name, value in other.counters.items():
-            self.inc(name, value)
-        for name, value in other.gauges.items():
-            self.gauge(name, value)
-        for name, stat in other.timings.items():
-            with self._lock:
-                mine = self._timings.get(name)
-                if mine is None:
-                    mine = self._timings[name] = TimingStat()
-                mine.count += stat.count
-                mine.total += stat.total
-                mine.min = min(mine.min, stat.min)
-                mine.max = max(mine.max, stat.max)
-        with self._lock:
-            self._events.extend(other.events)
+            return len(self._counters) + len(self._timings)
 
     def to_profile(self) -> dict:
         """The ``instrument`` payload section, keys sorted.
 
-        ``counters`` / ``gauges`` / ``trace_events`` are
-        deterministic; ``timings`` are wall-clock and must never feed
-        a digest or a parity comparison.
+        ``counters`` / ``trace_events`` are deterministic;
+        ``timings`` are wall-clock and must never feed a digest or a
+        parity comparison.
         """
         with self._lock:
             return {
                 "counters": {k: self._counters[k]
                              for k in sorted(self._counters)},
-                "gauges": {k: self._gauges[k]
-                           for k in sorted(self._gauges)},
                 "trace_events": len(self._events),
                 "timings": {k: self._timings[k].to_dict()
                             for k in sorted(self._timings)},

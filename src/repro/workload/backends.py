@@ -165,12 +165,13 @@ class ServingBackend:
             raise ValueError(
                 f"rebuild threshold must be in (0, 1]: {threshold}")
 
-    def _validate_keep_fraction(self, fraction: float | None) -> None:
+    @classmethod
+    def _validate_keep_fraction(cls, fraction: float | None) -> None:
         if fraction is None:
             return
-        if not self.supports_trim:
+        if not cls.supports_trim:
             raise ValueError(
-                f"backend {self.name!r} has no trainable model; "
+                f"backend {cls.name!r} has no trainable model; "
                 "TRIM does not apply")
         if not 0.0 < fraction <= 1.0:
             raise ValueError(

@@ -14,6 +14,7 @@ from repro.cluster import (
     TransportClusterRouter,
     TransportConfig,
 )
+from repro.cluster.transport import MSG_INSERT, settings_request
 from repro.data.keyset import Domain
 from repro.workload.trace import OP_QUERY
 
@@ -159,11 +160,23 @@ class TestReplicaGroup:
             group.close()
 
     def test_tuner_hooks_are_local_and_broadcast(self):
+        """A setter only stores its value; the next state-changing
+        request carries it to every replica."""
         _, group = make_group(n_replicas=2, divergence=None)
+        settings = settings_request(0.42, None)
+        sent = []
+        for client in group._replicas:
+            def send(code, body=b"", send=client.send):
+                sent.append((code, body[:len(settings)]))
+                send(code, body)
+            client.send = send
         try:
             group.set_rebuild_threshold(0.42)
             assert group.rebuild_threshold == 0.42
             assert group.trim_keep_fraction is None
+            assert sent == []
+            group.insert_batch(np.asarray([101], dtype=np.int64))
+            assert sent == [(MSG_INSERT, settings)] * 2
         finally:
             group.close()
 

@@ -24,6 +24,8 @@ from repro.cluster.transport import (
     _parse_frame,
     decode_build_spec,
     encode_build_spec,
+    replay_request,
+    settings_request,
     spawn_context,
 )
 from repro.workload import TraceSpec, generate_trace, make_backend
@@ -47,6 +49,13 @@ def make_client(book, shard=0, backend="rmi", **build_args):
         build_args = {}
     return WorkerClient(book, shard, 0, backend, 0.12, build_args,
                         KEYS, ctx=spawn_context())
+
+
+def replay(client, kinds, keys, aux):
+    """Found and probes of one REPLAY under the build's settings."""
+    return client.replay_reply(client.call(
+        MSG_REPLAY, settings_request(0.12, None)
+        + replay_request(None, kinds, keys, aux)))
 
 
 # ---------------------------------------------------------------------
@@ -126,19 +135,19 @@ class TestWorkerClient:
         kinds = np.full(128, OP_QUERY, dtype=np.int8)
         keys = np.concatenate([queries, misses])
         aux = np.zeros(128, dtype=np.int64)
-        found, probes, stats = client.replay(kinds, keys, aux)
+        found, probes = replay(client, kinds, keys, aux)
         lfound, lprobes = local.replay_ops(kinds, keys, aux)
         assert np.array_equal(found, lfound)
         assert np.array_equal(probes, lprobes)
-        assert stats == WorkerStats.of(local)
+        assert client.stats == WorkerStats.of(local)
         assert client.digest() == local.state_digest()
 
     def test_stats_mirror_the_backend_surface(self, client):
-        stats = client.stats()
-        assert stats.n_keys == KEYS.size
-        assert stats.rebuild_threshold == 0.12
-        assert stats.trim_keep_fraction is None
-        assert stats.error_bound >= 0.0
+        local = make_backend("rmi", KEYS, rebuild_threshold=0.12,
+                             model_size=50)
+        assert client.stats == WorkerStats.of(local)
+        assert client.stats.n_keys == KEYS.size
+        assert client.stats.error_bound >= 0.0
 
     def test_worker_error_carries_the_shard_id(self):
         client = make_client(inert_book(), shard=3)
@@ -146,10 +155,10 @@ class TestWorkerClient:
             kinds = np.asarray([99], dtype=np.int8)  # unknown op
             with pytest.raises(ShardWorkerError,
                                match="shard 3") as err:
-                client.replay(kinds, np.asarray([1]), np.asarray([0]))
+                replay(client, kinds, np.asarray([1]), np.asarray([0]))
             assert err.value.shard == 3
             # The worker survives a dispatch error: next call serves.
-            assert client.stats().n_keys == KEYS.size
+            assert client.live_keys().size == KEYS.size
         finally:
             client.close()
 
@@ -163,7 +172,7 @@ class TestWorkerClient:
         client.close()
         client.close()
         with pytest.raises(ReplicaDeadError):
-            client.stats()
+            client.digest()
 
 
 # ---------------------------------------------------------------------

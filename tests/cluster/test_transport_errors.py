@@ -17,6 +17,9 @@ from repro.cluster import (
     WorkerClient,
 )
 from repro.cluster.transport import (
+    MSG_INSERT,
+    MSG_REBUILD,
+    MSG_REPLAY,
     REPLY_ERR,
     REPLY_OK,
     ProtocolError,
@@ -25,6 +28,9 @@ from repro.cluster.transport import (
     _pack_bool,
     _pack_i64,
     _parse_frame,
+    keys_request,
+    replay_request,
+    settings_request,
     spawn_context,
 )
 
@@ -61,6 +67,20 @@ def ok_body(body: bytes):
     return lambda seq: _frame(REPLY_OK, seq, body)
 
 
+SETTINGS = settings_request(0.1, None)
+
+
+def replay(client, kinds, keys, aux):
+    """Found and probes of one REPLAY."""
+    return client.replay_reply(client.call(
+        MSG_REPLAY, SETTINGS + replay_request(None, kinds, keys, aux)))
+
+
+def mutate(client, code, body=b""):
+    """One INSERT or REBUILD; its reply's stats become the client's."""
+    client.stats_reply(code, client.call(code, SETTINGS + body))
+
+
 @pytest.fixture(scope="module")
 def client():
     client = WorkerClient(TransportBook(TransportConfig()), 2, 1,
@@ -73,32 +93,35 @@ def test_short_frame_names_the_slot(client, monkeypatch):
     monkeypatch.setattr(client, "_conn", StubPipe(lambda seq: b"\x01"))
     with pytest.raises(ProtocolError,
                        match=SLOT + "short frame: 1 bytes$"):
-        client.stats()
+        client.digest()
 
 
 def test_reordered_reply_names_the_slot(client, monkeypatch):
     monkeypatch.setattr(client, "_conn", StubPipe(
         lambda seq: _frame(REPLY_OK, seq + 1)))
     with pytest.raises(ProtocolError, match=SLOT + "reply seq"):
-        client.stats()
+        client.digest()
 
 
-STATS = WorkerStats(3, 0, 0, 0, 1.5, 0.1, None).pack()
+STATS = WorkerStats(3, 0, 0, 0, 1.5).pack()
 FOUND = _pack_bool(np.ones(4, dtype=bool))
 
 
 @pytest.mark.parametrize("call, body, message", (
     # the found column's length prefix promises more bytes than sent
-    (lambda c: c.replay(np.zeros(1, np.int8), np.ones(1, np.int64),
-                        np.zeros(1, np.int64)),
+    (lambda c: replay(c, np.zeros(1, np.int8), np.ones(1, np.int64),
+                      np.zeros(1, np.int64)),
      FOUND[:-2], "MSG_REPLAY"),
     # the probes column's length prefix itself is cut short
     (lambda c: c.lookup(np.ones(4, np.int64)),
      FOUND + b"\x04\x00", "MSG_LOOKUP"),
-    (lambda c: c.stats(), STATS[:-1], "MSG_STATS"),
+    # the stats, the whole reply, cut short
+    (lambda c: mutate(c, MSG_INSERT, keys_request(None, np.ones(1))),
+     STATS[:-1], "MSG_INSERT"),
+    (lambda c: mutate(c, MSG_REBUILD), STATS[:-1], "MSG_REBUILD"),
     (lambda c: c.live_keys(), _pack_i64(np.arange(3))[:-8],
      "MSG_LIVE_KEYS"),
-), ids=("replay", "lookup", "stats", "live_keys"))
+), ids=("replay", "lookup", "insert", "rebuild", "live_keys"))
 def test_truncated_body_names_slot_and_message(client, monkeypatch, call,
                                                body, message):
     monkeypatch.setattr(client, "_conn", StubPipe(ok_body(body)))
@@ -124,23 +147,24 @@ TWO = np.asarray([10, 12], dtype=np.int64)
     (lambda c: c.lookup(TWO),
      _pack_bool(np.ones(1, bool)) + _pack_i64(np.arange(1)),
      "MSG_LOOKUP"),
-    (lambda c: c.replay(np.zeros(2, np.int8), TWO, np.zeros(2, np.int64)),
+    (lambda c: replay(c, np.zeros(2, np.int8), TWO, np.zeros(2, np.int64)),
      _pack_bool(np.ones(2, bool)) + _pack_i64(np.arange(2)) + STATS
      + b"junk",
      "MSG_REPLAY"),
-    (lambda c: c.replay(np.zeros(2, np.int8), TWO, np.zeros(2, np.int64)),
+    (lambda c: replay(c, np.zeros(2, np.int8), TWO, np.zeros(2, np.int64)),
      _pack_bool(np.ones(3, bool)) + _pack_i64(np.arange(2)) + STATS,
      "MSG_REPLAY"),
     # the stats trailer cut short
-    (lambda c: c.replay(np.zeros(2, np.int8), TWO, np.zeros(2, np.int64)),
+    (lambda c: replay(c, np.zeros(2, np.int8), TWO, np.zeros(2, np.int64)),
      _pack_bool(np.ones(2, bool)) + _pack_i64(np.arange(2)) + STATS[:-1],
      "MSG_REPLAY"),
+    (lambda c: mutate(c, MSG_REBUILD), STATS + b"junk", "MSG_REBUILD"),
     (lambda c: c.live_keys(), _pack_i64(np.arange(3)) + b"junk",
      "MSG_LIVE_KEYS"),
     (lambda c: c.digest(), b"\xff\xfe", "MSG_DIGEST"),
 ), ids=("lookup-trailing", "lookup-unequal", "lookup-short",
         "replay-trailing", "replay-unequal", "replay-stats-short",
-        "live_keys-trailing", "digest-not-utf8"))
+        "rebuild-trailing", "live_keys-trailing", "digest-not-utf8"))
 def test_inconsistent_body_names_slot_and_message(client, monkeypatch,
                                                   call, body, message):
     monkeypatch.setattr(client, "_conn", StubPipe(ok_body(body)))
@@ -149,21 +173,37 @@ def test_inconsistent_body_names_slot_and_message(client, monkeypatch,
         call(client)
 
 
+def test_stats_after_a_malformed_reply_name_the_slot(client, monkeypatch):
+    """A state-changing request whose reply does not decode leaves
+    no stats to read, rather than the ones before it."""
+    monkeypatch.setattr(client, "_conn", StubPipe(ok_body(STATS[:-1])))
+    with pytest.raises(ProtocolError):
+        mutate(client, MSG_REBUILD)
+    with pytest.raises(ShardWorkerError,
+                       match=r"^shard 2 worker: replica 1: no stats"):
+        client.stats
+
+
 def test_undecodable_worker_error_names_the_replica(client, monkeypatch):
     monkeypatch.setattr(client, "_conn", StubPipe(
         lambda seq: _frame(REPLY_ERR, seq, b"\xff\xfe")))
     with pytest.raises(ShardWorkerError,
                        match=r"^shard 2 worker: replica 1: "):
-        client.stats()
+        client.digest()
 
 
 def test_worker_error_names_the_replica(client):
     unknown_op = np.asarray([99], dtype=np.int8)
     with pytest.raises(ShardWorkerError,
                        match=r"^shard 2 worker: replica 1: ValueError"):
-        client.replay(unknown_op, np.asarray([1]), np.asarray([0]))
-    # The worker survives its dispatch error: the next call serves.
-    assert client.stats().n_keys == KEYS.size
+        replay(client, unknown_op, np.asarray([1]), np.asarray([0]))
+    with pytest.raises(ShardWorkerError,
+                       match=r"^shard 2 worker: replica 1: no stats"):
+        client.stats
+    # The worker survives its dispatch error: the next call serves,
+    # and its reply brings the stats back.
+    mutate(client, MSG_REBUILD)
+    assert client.stats.n_keys == KEYS.size
 
 
 def test_build_error_names_the_replica():
@@ -175,11 +215,14 @@ def test_build_error_names_the_replica():
 
 
 class StubContext:
-    """A spawn context whose worker never runs: the client's end of
-    the pipe already holds ``handshake``."""
+    """A fork-server context whose worker never runs: the client's end
+    of the pipe already holds ``handshake``."""
 
     def __init__(self, handshake: bytes):
         self._handshake = handshake
+
+    def get_start_method(self) -> str:
+        return "forkserver"
 
     def Pipe(self):
         pipe = StubPipe(lambda seq: _frame(REPLY_OK, seq))
@@ -209,3 +252,13 @@ def test_undecodable_build_error_names_the_replica():
         WorkerClient(TransportBook(TransportConfig()), 2, 1, "binary",
                      0.1, {}, KEYS,
                      ctx=StubContext(_frame(REPLY_ERR, 0, b"\xff\xfe")))
+
+
+def test_short_handshake_stats_name_the_slot():
+    with pytest.raises(ProtocolError,
+                       match=SLOT + "malformed handshake: ") as err:
+        WorkerClient(TransportBook(TransportConfig()), 2, 1, "binary",
+                     0.1, {}, KEYS,
+                     ctx=StubContext(_frame(REPLY_OK, 0,
+                                            b"\x01" + STATS[:-1])))
+    assert isinstance(err.value.__cause__, struct.error)

@@ -21,7 +21,12 @@ from repro.cluster import (
     TransportConfig,
     WorkerClient,
 )
-from repro.cluster.transport import REPLY_OK, _frame, _parse_frame
+from repro.cluster.transport import (
+    REPLY_OK,
+    WorkerStats,
+    _frame,
+    _parse_frame,
+)
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -36,7 +41,7 @@ def test_runtime_sys_path_gets_preloaded_workers(tmp_path):
         client = WorkerClient(TransportBook(TransportConfig()), 0, 0,
                               "binary", 0.1, {{}}, np.arange(8),
                               ctx=spawn_context())
-        print(client.stats().n_keys)
+        print(client.stats.n_keys)
         client.close()
     """)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -108,14 +113,20 @@ def connect(ctx) -> WorkerClient:
                         0.1, {}, np.arange(8), ctx=ctx)
 
 
+#: The first stats a worker's handshake carries after its preload byte.
+STATS = WorkerStats(8, 0, 0, 0, 3.0)
+
+
 def test_preloaded_handshake_is_accepted():
-    ctx = ForkServerStub(_frame(REPLY_OK, 0, b"\x01"))
-    connect(ctx).close()
+    ctx = ForkServerStub(_frame(REPLY_OK, 0, b"\x01" + STATS.pack()))
+    client = connect(ctx)
+    assert client.stats == STATS
+    client.close()
     assert ctx.process.joined
 
 
 def test_worker_that_imported_the_transport_itself_is_named():
-    ctx = ForkServerStub(_frame(REPLY_OK, 0, b"\x00"))
+    ctx = ForkServerStub(_frame(REPLY_OK, 0, b"\x00" + STATS.pack()))
     with pytest.raises(ShardWorkerError,
                        match=r"^shard 2 worker: replica 1: the fork "
                              r"server did not preload "

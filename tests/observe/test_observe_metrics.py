@@ -15,19 +15,12 @@ class TestCounters:
         reg.inc("ops", 41)
         assert reg.counters == {"ops": 42}
 
-    def test_gauge_keeps_latest(self):
-        reg = observe.MetricsRegistry()
-        reg.gauge("keep", 1.0)
-        reg.gauge("keep", 0.25)
-        assert reg.gauges == {"keep": 0.25}
-
     def test_len_counts_distinct_names(self):
         reg = observe.MetricsRegistry()
         assert len(reg) == 0
         reg.inc("a")
-        reg.gauge("b", 1.0)
         reg.observe("c", 0.5)
-        assert len(reg) == 3
+        assert len(reg) == 2
 
     def test_thread_safety_of_inc(self):
         reg = observe.MetricsRegistry()
@@ -85,20 +78,6 @@ class TestProfile:
         assert list(profile["counters"]) == ["a", "z"]
         assert profile["trace_events"] == 1
         assert profile["timings"]["stage"]["count"] == 1
-
-    def test_merge_sums_and_extends(self):
-        a, b = observe.MetricsRegistry(), observe.MetricsRegistry()
-        a.inc("n", 1)
-        b.inc("n", 2)
-        a.observe("t", 1.0)
-        b.observe("t", 3.0)
-        b.trace("e")
-        a.merge(b)
-        assert a.counters["n"] == 3
-        stat = a.timings["t"]
-        assert (stat.count, stat.total, stat.min, stat.max) \
-            == (2, 4.0, 1.0, 3.0)
-        assert len(a.events) == 1
 
 
 class TestInstallHook:

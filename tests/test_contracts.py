@@ -160,9 +160,9 @@ class TestFrameProtocol:
     def test_header_layout_is_ten_bytes(self):
         assert contracts.FRAME.size == 10
         packed = contracts.FRAME.pack(
-            contracts.PROTOCOL_VERSION, contracts.MSG_STATS, 7)
+            contracts.PROTOCOL_VERSION, contracts.MSG_REPLAY, 7)
         assert contracts.FRAME.unpack(packed) \
-            == (contracts.PROTOCOL_VERSION, contracts.MSG_STATS, 7)
+            == (contracts.PROTOCOL_VERSION, contracts.MSG_REPLAY, 7)
 
     def test_registries_match_the_module_constants(self):
         for name, code in contracts.REQUEST_CODES.items():
