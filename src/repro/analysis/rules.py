@@ -11,8 +11,8 @@ keys that match on both ends.  Each rule here encodes one of them:
 REP001    ambient / one-off-literal RNG seeding (use
           ``stable_seed_words``)
 REP002    builtin ``hash()`` (PYTHONHASHSEED hazard) anywhere
-REP003    wall clock on simulator/serving/cluster/transport tick
-          paths (observability timers are recognized and allowed)
+REP003    any clock call on simulator/serving/cluster/transport tick
+          paths (a layer is timed from outside, in perfbench)
 REP004    unsorted iteration or unsorted ``json.dumps`` feeding a
           canonical-JSON / digest sink
 REP005    bare non-integral float ``==``/``!=`` in assertions
@@ -30,7 +30,6 @@ filtering and the baseline.  Rules are registered in :data:`RULES`.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
 
 __all__ = ["RULES", "KeyBinding", "DispatchBinding",
@@ -163,59 +162,22 @@ _WALL_CLOCK = frozenset({
     "datetime.date.today",
 })
 
-#: Assignment targets recognized as observability timer anchors or
-#: accumulators (``started = perf_counter()``, ``adjust_seconds +=
-#: ...``); anything else consuming a clock needs a pragma.
-_TIMER_NAME = re.compile(r"(?:^|_)(?:started|start|t0|seconds)$")
-
-
-def _wall_clock_calls(node: ast.AST, aliases: dict):
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call) \
-                and _dotted(sub.func, aliases) in _WALL_CLOCK:
-            yield sub
-
-
-def _timer_target(node: ast.expr) -> bool:
-    if isinstance(node, ast.Name):
-        return bool(_TIMER_NAME.search(node.id))
-    if isinstance(node, ast.Attribute):
-        return bool(_TIMER_NAME.search(node.attr))
-    return False
-
 
 @_register("REP003")
 def rep003_wall_clock(tree, relpath, lines, config):
-    """Wall clock on deterministic tick paths (non-observability)."""
+    """Any clock call on deterministic tick paths."""
     if not config.in_scope(relpath, config.rep003_scope):
         return
     aliases = _alias_map(tree)
-    allowed: set[int] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Assign, ast.AugAssign,
-                             ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else [node.target]
-            if all(_timer_target(t) for t in targets) \
-                    and node.value is not None:
-                allowed.update(id(c) for c in _wall_clock_calls(
-                    node.value, aliases))
-        elif isinstance(node, ast.Call) \
-                and isinstance(node.func, ast.Attribute) \
-                and node.func.attr == "observe":
-            for arg in list(node.args) + [kw.value
-                                          for kw in node.keywords]:
-                allowed.update(id(c) for c in _wall_clock_calls(
-                    arg, aliases))
-    for call in _wall_clock_calls(tree, aliases):
-        if id(call) in allowed:
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
             continue
         path = _dotted(call.func, aliases)
-        yield (call.lineno, "REP003",
-               f"wall clock `{path}` on a deterministic tick path; "
-               f"costs must be deterministic proxies (observability "
-               f"timers flow to metrics.observe or a "
-               f"*_started/*_seconds anchor)")
+        if path in _WALL_CLOCK:
+            yield (call.lineno, "REP003",
+                   f"wall clock `{path}` on a deterministic tick path; "
+                   f"costs must be deterministic proxies (time a layer "
+                   f"from outside, in perfbench)")
 
 
 # ---------------------------------------------------------------------

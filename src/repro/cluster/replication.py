@@ -253,7 +253,6 @@ class ReplicaGroup:
         kinds = np.asarray(kinds)
         n_reads = int(((kinds == OP_QUERY)
                        | (kinds == OP_RANGE)).sum())
-        metrics = self._book.metrics
         settings = self._settings()
         shared = None
         requests = []
@@ -265,7 +264,6 @@ class ReplicaGroup:
                 # ops — reads this tick still agree, the divergence
                 # shows up in the next ticks' error bounds.
                 body = settings + replay_request(
-                    metrics,
                     np.concatenate([kinds, np.full(
                         poison.size, OP_INSERT, dtype=kinds.dtype)]),
                     np.concatenate([
@@ -275,8 +273,7 @@ class ReplicaGroup:
                         np.zeros(poison.size, dtype=np.int64)]))
             else:
                 if shared is None:
-                    shared = settings + replay_request(
-                        metrics, kinds, keys, aux)
+                    shared = settings + replay_request(kinds, keys, aux)
                 body = shared
             requests.append((i, client, body))
         replies = self._fan_out(MSG_REPLAY, requests,
@@ -291,7 +288,7 @@ class ReplicaGroup:
         targets = self._live()
         if self._read_mode == "primary" and targets:
             targets = targets[:1]
-        body = keys_request(self._book.metrics, keys)
+        body = keys_request(keys)
         replies = self._fan_out(
             MSG_LOOKUP, [(i, client, body) for i, client in targets],
             lambda client, reply: client.lookup_reply(reply, keys.size))
@@ -307,10 +304,10 @@ class ReplicaGroup:
         return int(probes[0])
 
     def insert_batch(self, keys: np.ndarray) -> None:
-        self._mutate(MSG_INSERT, keys_request(self._book.metrics, keys))
+        self._mutate(MSG_INSERT, keys_request(keys))
 
     def delete_batch(self, keys: np.ndarray) -> None:
-        self._mutate(MSG_DELETE, keys_request(self._book.metrics, keys))
+        self._mutate(MSG_DELETE, keys_request(keys))
 
     def rebuild(self) -> None:
         self._mutate(MSG_REBUILD)

@@ -26,7 +26,6 @@ The router also owns the two cluster-level books the simulator reads:
 
 from __future__ import annotations
 
-import time
 from typing import Any
 
 import numpy as np
@@ -75,7 +74,7 @@ class ClusterRouter:
         # a rebalance must never silently launder quarantined poison.
         self._migration_rescreen = bool(migration_rescreen)
         self._build_args = dict(build_args)
-        self._metrics = None  # before _build_shard, which reads it
+        self._metrics = None
         keys = np.sort(np.asarray(keys, dtype=np.int64))
         self._shards: "list[ServingBackend | None]" = [
             self._build_shard(self._keys_in(keys, shard), shard=shard)
@@ -86,19 +85,15 @@ class ClusterRouter:
 
     # ------------------------------------------------------------------
     def set_metrics(self, metrics) -> None:
-        """Attach a :class:`repro.observe.MetricsRegistry`.
+        """Attach a :class:`repro.observe.MetricsRegistry` (``None``
+        detaches).
 
-        Forwarded to every provisioned shard backend (and, on the
-        transport router, to the book) so the columnar stage timers
-        and transport counters land in one registry.  Shards built
-        later — migration splits, first-insert materialisation —
-        inherit it through :meth:`_build_shard`.
+        The router counts the events it routes and the shard batches
+        they form; the transport router also hands the registry to
+        its book, which counts calls and retries.  Only counters are
+        recorded, so attaching one cannot change any served result.
         """
         self._metrics = metrics
-        for backend in self._shards:
-            if backend is not None \
-                    and hasattr(backend, "set_metrics"):
-                backend.set_metrics(metrics)
 
     # ------------------------------------------------------------------
     def _keys_in(self, sorted_keys: np.ndarray,
@@ -162,9 +157,6 @@ class ClusterRouter:
             backend.set_trim_keep_fraction(keep)
             if self._migration_rescreen:
                 backend.rebuild()
-        if self._metrics is not None \
-                and hasattr(backend, "set_metrics"):
-            backend.set_metrics(self._metrics)
         return backend
 
     # ------------------------------------------------------------------
@@ -431,15 +423,10 @@ class ClusterRouter:
         groups = [(int(s), by_shard[s0:s1])
                   for s, s0, s1 in zip(uniq, starts, bounds)]
         metrics = self._metrics
-        fanout_started = (time.perf_counter()
-                          if metrics is not None else 0.0)
         if metrics is not None:
             metrics.inc("router.events", int(key_arr.size))
             metrics.inc("router.shard_batches", len(groups))
         results = [serve_guarded(*g) for g in groups]
-        if metrics is not None:
-            metrics.observe("router.fanout",
-                            time.perf_counter() - fanout_started)
         for result in results:
             if result is None:
                 continue

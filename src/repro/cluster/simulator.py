@@ -409,8 +409,8 @@ class ClusterSimulator:
         self._rebalancer = rebalancer
         self._defense = defense
         # Opt-in instrumentation (explicit registry wins, else the
-        # process-installed one); forwarded to the router so shard
-        # backends and the transport book report into the same sink.
+        # process-installed one); forwarded to the router, which
+        # counts what it routes and hands it on to the transport book.
         self._metrics = (metrics if metrics is not None
                          else observe_active())
         if self._metrics is not None:

@@ -55,7 +55,6 @@ import multiprocessing as mp
 import os
 import struct
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -435,9 +434,9 @@ class TransportBook:
         self._cfg = config
         self._tick = 0
         #: Optional :class:`repro.observe.MetricsRegistry`; clients
-        #: read it for the encode/rpc/decode/retry stage timers.
-        #: Counters and timings are commutative, so one registry is
-        #: safe across the sweep engine's thread executor.
+        #: count their answered calls and their retries in it.
+        #: Counters are commutative, so one registry is safe across
+        #: the sweep engine's thread executor.
         self.metrics = None
         self._lock = threading.Lock()
         self._seq: "dict[tuple[int, int], int]" = {}
@@ -458,8 +457,8 @@ class TransportBook:
     def set_metrics(self, metrics) -> None:
         """Attach an opt-in metrics registry (None detaches).
 
-        Timings are wall-clock-only observability; nothing recorded
-        here can change replies, retry decisions, or digests.
+        It only counts; nothing recorded here can change replies,
+        retry decisions, or digests.
         """
         self.metrics = metrics
 
@@ -580,27 +579,16 @@ class TransportBook:
 # ---------------------------------------------------------------------
 # Router-side worker proxy
 # ---------------------------------------------------------------------
-def _timed(metrics, name: str, fn, *args):
-    """``fn(*args)``, observed as stage ``name`` when ``metrics`` is
-    attached."""
-    started = time.perf_counter() if metrics is not None else 0.0
-    out = fn(*args)
-    if metrics is not None:
-        metrics.observe(name, time.perf_counter() - started)
-    return out
-
-
-def replay_request(metrics, kinds: np.ndarray, keys: np.ndarray,
+def replay_request(kinds: np.ndarray, keys: np.ndarray,
                    aux: np.ndarray) -> bytes:
     """A REPLAY body: the event batch, encoded once however many
     replicas it goes to."""
-    return _timed(metrics, "transport.encode", encode_event_batch,
-                  kinds, keys, aux)
+    return encode_event_batch(kinds, keys, aux)
 
 
-def keys_request(metrics, keys: np.ndarray) -> bytes:
+def keys_request(keys: np.ndarray) -> bytes:
     """A LOOKUP, INSERT or DELETE body: the keys."""
-    return _timed(metrics, "transport.encode", _pack_i64, keys)
+    return _pack_i64(keys)
 
 
 def settings_request(threshold: float, keep: "float | None") -> bytes:
@@ -636,8 +624,8 @@ class WorkerClient:
         self._replica = int(replica)
         self._seq = 0
         self._closed = False
-        #: The request in flight: (seq, rpc start), set by a send and
-        #: cleared by its receive.
+        #: The seq of the request in flight, set by a send and cleared
+        #: by its receive.
         self._inflight = None
         self._stats: "WorkerStats | None" = None
         ctx = ctx if ctx is not None else spawn_context()
@@ -768,17 +756,13 @@ class WorkerClient:
                 continue  # injected timeout consumed this attempt
             seq = self._seq
             self._seq += 1
-            rpc_started = (time.perf_counter()
-                           if metrics is not None else 0.0)
-            self._inflight = (seq, rpc_started)
+            self._inflight = seq
             try:
                 self._conn.send_bytes(_frame(code, seq, body))
             except (EOFError, OSError):
                 book.note_trouble(self._shard, self._replica)
                 if metrics is not None:
                     metrics.inc("transport.retries")
-                    metrics.observe("transport.retry",
-                                    time.perf_counter() - rpc_started)
                 continue  # real failure: worker gone
             return
         raise self._declare_dead()
@@ -803,7 +787,7 @@ class WorkerClient:
         before its code is looked at; a worker-side error raises
         :class:`ShardWorkerError`.
         """
-        seq, rpc_started = self._inflight
+        seq = self._inflight
         try:
             rcode, rseq, rbody = self._recv(
                 self._book.config.wall_timeout_s)
@@ -812,8 +796,6 @@ class WorkerClient:
         self._inflight = None
         metrics = self._book.metrics
         if metrics is not None:
-            metrics.observe("transport.rpc",
-                            time.perf_counter() - rpc_started)
             metrics.inc("transport.calls")
         if rseq != seq:
             raise ProtocolError(
@@ -835,9 +817,8 @@ class WorkerClient:
                      ) -> tuple[np.ndarray, np.ndarray]:
         """Found and probes of a REPLAY reply; its stats trailer
         becomes :attr:`stats`."""
-        found, probes = _timed(self._book.metrics, "transport.decode",
-                               self._columns, MSG_REPLAY, body, None,
-                               _STATS.size)
+        found, probes = self._columns(MSG_REPLAY, body, None,
+                                      _STATS.size)
         self._stats = WorkerStats.unpack(body[-_STATS.size:])
         return found, probes
 
@@ -853,8 +834,7 @@ class WorkerClient:
     def lookup_reply(self, body: bytes, n: int,
                      ) -> tuple[np.ndarray, np.ndarray]:
         """Found and probes of a LOOKUP reply for ``n`` keys."""
-        return _timed(self._book.metrics, "transport.decode",
-                      self._columns, MSG_LOOKUP, body, n)
+        return self._columns(MSG_LOOKUP, body, n)
 
     def digest_reply(self, body: bytes) -> str:
         """The state digest of a DIGEST reply."""
@@ -865,8 +845,7 @@ class WorkerClient:
 
     def lookup(self, keys: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray]:
-        body = self.call(MSG_LOOKUP, keys_request(
-            self._book.metrics, keys))
+        body = self.call(MSG_LOOKUP, keys_request(keys))
         return self.lookup_reply(body, len(keys))
 
     def live_keys(self) -> np.ndarray:
@@ -884,21 +863,31 @@ class WorkerClient:
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
+        """Ask the worker to stop and reap it.
+
+        A worker with no reply to SHUTDOWN within a second is wedged
+        (a stopped process acts on no signal but SIGKILL) or already
+        gone, so it is killed at once; one that replied gets five
+        seconds to exit before the signals escalate.
+        """
         if self._closed:
             return
         self._closed = True
+        replied = False
         try:
             self._conn.send_bytes(_frame(MSG_SHUTDOWN, self._seq))
             if self._conn.poll(1.0):
                 self._conn.recv_bytes()
-        except (BrokenPipeError, OSError):
+                replied = True
+        except (EOFError, OSError):
             pass
         finally:
             self._conn.close()
-        self._process.join(timeout=5.0)
-        if self._process.is_alive():
-            self._process.terminate()
-            self._process.join(timeout=1.0)
-        if self._process.is_alive():  # stopped: SIGTERM waits for it
+        if replied:
+            self._process.join(timeout=5.0)
+            if self._process.is_alive():
+                self._process.terminate()
+                self._process.join(timeout=1.0)
+        if self._process.is_alive():  # wedged, or stopped since
             self._process.kill()
             self._process.join()

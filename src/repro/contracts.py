@@ -88,8 +88,8 @@ RESULT_REQUIRED_KEYS = (
 )
 
 #: Top-level keys a result/v2 document may carry.  ``instrument`` is
-#: the opt-in observability profile — wall-clock, never compared by
-#: the jobs-parity gates.
+#: the opt-in observability profile: counters and the trace-event
+#: count of the run that wrote the document.
 RESULT_OPTIONAL_KEYS = ("instrument",)
 
 #: Keys of one entry in the ``artifacts`` manifest.

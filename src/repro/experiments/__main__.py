@@ -70,10 +70,11 @@ fig2-fig4):
 ``--instrument``
     Opt-in observability: install a
     :class:`repro.observe.MetricsRegistry` for the duration of each
-    target and attach its profile (deterministic counters + trace
-    event count, wall-clock stage timings) to ``result.json`` under
-    the sibling ``instrument`` key.  The ``result`` payload is
-    byte-identical with or without the flag.
+    target and attach its profile (counters + trace event count; no
+    clock) to ``result.json`` under the sibling ``instrument`` key.
+    The ``result`` payload is byte-identical with or without the
+    flag, and the profile is equal at every job count on the thread
+    executor.
 
 Targets that are not sweeps ignore ``--jobs``/``--executor``/
 ``--resume`` and simply skip the ``result.json`` payload.
@@ -330,9 +331,10 @@ def _write_result(target: str, opts: RunOptions,
     """Emit ``<out>/<target>/result.json`` with the stable schema.
 
     With ``--instrument``, the registry's profile lands under the
-    sibling ``instrument`` key — outside ``result``, which is the
-    payload the jobs-parity CI check compares, because the timing
-    half of the profile is wall-clock and run-specific.
+    sibling ``instrument`` key — outside ``result``, because it
+    describes the run, not its answer: a resumed run counts the cells
+    it reused, and process-executor workers at ``jobs > 1`` count into
+    registries of their own.
     """
     out_dir = opts.checkpoint_dir(target)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -409,11 +411,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="ablate target: print the registry of "
                              "ablatable defense components and exit")
     parser.add_argument("--instrument", action="store_true",
-                        help="record counters/stage timings/trace "
-                             "events while running and attach the "
-                             "profile to result.json under the "
-                             "'instrument' key (results themselves "
-                             "are unchanged)")
+                        help="count ops, calls and trace events "
+                             "while running and attach the profile "
+                             "to result.json under the 'instrument' "
+                             "key (results themselves are unchanged)")
     args = parser.parse_args(argv)
     if args.quick and args.profile == "full":
         parser.error("--quick contradicts --profile full")

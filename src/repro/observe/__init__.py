@@ -3,13 +3,13 @@
 Two pillars:
 
 * :mod:`repro.observe.metrics` — a deterministic
-  :class:`MetricsRegistry` (counters, timing histograms) and a
-  structured trace-event log, threaded through the simulators,
-  router, transport, and sweep engine behind an opt-in hook
-  (:func:`install` / :func:`active`).  Disabled, every hook is a
-  single ``is None`` check; enabled, results stay bit-identical
-  because only wall-clock timings are new state and they never touch
-  canonical payloads.
+  :class:`MetricsRegistry` of counters and a structured trace-event
+  log, threaded through the tick loops, router, transport, and sweep
+  engine behind an opt-in hook (:func:`install` / :func:`active`).
+  Disabled, every hook is a single ``is None`` check; enabled,
+  results stay bit-identical because the registry only counts what
+  the run did and never touches canonical payloads.  No clock feeds
+  it; per-layer time is perfbench's to measure.
 * :mod:`repro.observe.figures` / :mod:`repro.observe.gallery` — a
   dependency-free byte-deterministic SVG renderer and the ``report``
   CLI target that turns result.json + artifact manifests into
@@ -18,7 +18,6 @@ Two pillars:
 
 from .metrics import (
     MetricsRegistry,
-    TimingStat,
     active,
     install,
     installed,
@@ -27,7 +26,6 @@ from .metrics import (
 
 __all__ = [
     "MetricsRegistry",
-    "TimingStat",
     "active",
     "install",
     "installed",

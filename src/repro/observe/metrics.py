@@ -1,44 +1,34 @@
 """Deterministic metrics registry + structured trace-event log.
 
-The observability contract mirrors how ``SweepStats`` already works:
-anything wall-clock stays out of canonical payloads and digests.  A
-:class:`MetricsRegistry` therefore keeps two kinds of state:
-
-* **Deterministic** — counters and the per-tick trace-event log.
-  These are pure functions of the replayed workload (op counts,
-  tick counts, cells computed) and are bit-identical across runs,
-  jobs, and executors.
-* **Wall-clock** — timing histograms (count / total / min / max
-  seconds per stage).  These are recorded for profiling and surface
-  only in the ``instrument`` section of result payloads, which the
-  jobs-parity gates never compare (they compare ``payload["result"]``
-  alone).
+A :class:`MetricsRegistry` holds counters and the per-tick trace-event
+log.  Both are pure functions of the replayed workload (op counts,
+tick counts, calls, cells computed), so a profile is equal across
+runs, jobs, and executors.  No clock feeds it: where time goes is
+perfbench's question, measured from outside the program.
 
 Instrumented code guards every touch with ``if metrics is not None``
 so the disabled path costs one attribute check — no null-object
 context managers on the hot loops.
 
-Counters and timings are commutative (sums), so the registry is safe
-to share across the sweep engine's thread executor; trace events are
-emitted only from the single-threaded simulator tick loops, keeping
-the log order deterministic.  A lock protects the read-modify-write updates.
+Counters are commutative (sums), so the registry is safe to share
+across the sweep engine's thread executor; trace events are emitted
+only from the single-threaded simulator tick loops, keeping the log
+order deterministic.  A lock protects the read-modify-write updates.
 
 Process-pool workers do not share the parent's registry: the
 module-level :func:`install` / :func:`active` pair is per-process, so
 at ``jobs>1`` on the process executor a profile honestly carries
-engine-level scheduling metrics only.  Inline runs (``jobs=1``) and
-thread executors capture the full stage breakdown.
+engine-level counters only.  Inline runs (``jobs=1``) and thread
+executors capture every counter.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Any
 
 __all__ = [
     "MetricsRegistry",
-    "TimingStat",
     "active",
     "install",
     "installed",
@@ -46,41 +36,12 @@ __all__ = [
 ]
 
 
-@dataclass
-class TimingStat:
-    """Accumulated wall-clock observations for one named stage."""
-
-    count: int = 0
-    total: float = 0.0
-    min: float = float("inf")
-    max: float = 0.0
-
-    def add(self, seconds: float) -> None:
-        self.count += 1
-        self.total += seconds
-        if seconds < self.min:
-            self.min = seconds
-        if seconds > self.max:
-            self.max = seconds
-
-    def to_dict(self) -> dict:
-        mean = self.total / self.count if self.count else 0.0
-        return {
-            "count": self.count,
-            "total_seconds": self.total,
-            "mean_seconds": mean,
-            "min_seconds": self.min if self.count else 0.0,
-            "max_seconds": self.max,
-        }
-
-
 class MetricsRegistry:
-    """Counters, timing histograms, and a trace-event log."""
+    """Counters and a trace-event log."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
-        self._timings: dict[str, TimingStat] = {}
         self._events: list[dict] = []
 
     # ------------------------------------------------------------------
@@ -90,14 +51,6 @@ class MetricsRegistry:
         """Add ``value`` to the counter ``name`` (deterministic)."""
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + value
-
-    def observe(self, name: str, seconds: float) -> None:
-        """Record one wall-clock observation for stage ``name``."""
-        with self._lock:
-            stat = self._timings.get(name)
-            if stat is None:
-                stat = self._timings[name] = TimingStat()
-            stat.add(seconds)
 
     def trace(self, event: str, **fields: Any) -> None:
         """Append a structured trace event (deterministic fields only).
@@ -119,33 +72,23 @@ class MetricsRegistry:
             return dict(self._counters)
 
     @property
-    def timings(self) -> dict[str, TimingStat]:
-        with self._lock:
-            return dict(self._timings)
-
-    @property
     def events(self) -> list[dict]:
         with self._lock:
             return list(self._events)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._counters) + len(self._timings)
+            return len(self._counters)
 
     def to_profile(self) -> dict:
-        """The ``instrument`` payload section, keys sorted.
-
-        ``counters`` / ``trace_events`` are deterministic;
-        ``timings`` are wall-clock and must never feed a digest or a
-        parity comparison.
-        """
+        """The ``instrument`` payload section, keys sorted: the
+        counters and the trace-event count, equal across job counts
+        and thread executors."""
         with self._lock:
             return {
                 "counters": {k: self._counters[k]
                              for k in sorted(self._counters)},
                 "trace_events": len(self._events),
-                "timings": {k: self._timings[k].to_dict()
-                            for k in sorted(self._timings)},
             }
 
 

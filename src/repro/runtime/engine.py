@@ -186,9 +186,9 @@ class SweepEngine:
         self._resume = resume
         self._executor = executor
         self._progress = progress
-        # Opt-in observability: wall-clock flows only into the
-        # registry (like SweepStats, never into results), so the
-        # determinism contract above is untouched.
+        # Opt-in observability: the registry counts cells (like
+        # SweepStats, never into results), so the determinism
+        # contract above is untouched.
         self._metrics = (metrics if metrics is not None
                          else observe_active())
         self.last_stats: SweepStats | None = None
@@ -206,7 +206,6 @@ class SweepEngine:
         cell was computed this run or resumed from disk.
         """
         outputs: dict[int, CellOutput] = {}
-        metrics = self._metrics
         started = time.monotonic()
 
         # Identical cells (same digest) are computed once and shared.
@@ -263,13 +262,8 @@ class SweepEngine:
 
         if self._jobs == 1 or len(todo) <= 1:
             for position, index in enumerate(todo):
-                cell_started = (time.perf_counter()
-                                if metrics is not None else 0.0)
                 outputs[index] = self._finish(
                     cells[index], _coerce(self._runner(cells[index])))
-                if metrics is not None:
-                    metrics.observe("engine.cell",
-                                    time.perf_counter() - cell_started)
                 computed_so_far += 1
                 tick(cells[index], remaining=len(todo) - position - 1)
             used_jobs = 1
@@ -303,8 +297,8 @@ class SweepEngine:
             total=len(cells), reused=reused,
             computed=len(cells) - reused - len(duplicates),
             jobs=used_jobs, executor=used_executor)
+        metrics = self._metrics
         if metrics is not None:
-            metrics.observe("engine.run", time.monotonic() - started)
             metrics.inc("engine.cells_total", self.last_stats.total)
             metrics.inc("engine.cells_reused", self.last_stats.reused)
             metrics.inc("engine.cells_computed",

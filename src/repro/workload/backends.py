@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import time
 
 import numpy as np
 
@@ -155,7 +154,6 @@ class ServingBackend:
         self._tombs = np.empty(0, dtype=np.int64)
         self._quarantine = np.empty(0, dtype=np.int64)
         self._retrains = 0
-        self._metrics = None
         self._build(self._snapshot)
 
     # -- validation ----------------------------------------------------
@@ -176,18 +174,6 @@ class ServingBackend:
         if not 0.0 < fraction <= 1.0:
             raise ValueError(
                 f"trim keep fraction must be in (0, 1]: {fraction}")
-
-    # -- instrumentation ----------------------------------------------
-    def set_metrics(self, metrics) -> None:
-        """Attach a :class:`repro.observe.MetricsRegistry`.
-
-        Opt-in: with no registry attached (the default), every stage
-        hook below is a single ``is None`` check.  The registry only
-        ever receives wall-clock observations and commutative
-        counters, so attaching one cannot change any recorded series
-        or digest.
-        """
-        self._metrics = metrics
 
     # -- subclass surface ---------------------------------------------
     def _build(self, keys: np.ndarray) -> None:
@@ -404,13 +390,7 @@ class ServingBackend:
         generated traces never produce one, the guard is for direct
         API users and property tests.
         """
-        metrics = self._metrics
-        started = time.perf_counter() if metrics is not None else 0.0
         ops = decompose_ops(kinds, keys, aux)
-        if metrics is not None:
-            metrics.observe("columnar.decompose",
-                            time.perf_counter() - started)
-            metrics.inc("columnar.ops", int(kinds.size))
         found = np.zeros(ops.read_pos.size, dtype=bool)
         probes = np.zeros(ops.read_pos.size, dtype=np.int64)
         if ops.hazard:
@@ -448,20 +428,14 @@ class ServingBackend:
         everything up to it in bulk, fire exactly there, re-classify,
         repeat.  Backends change what a sub-op does, where a segment
         ends and what fires through the hooks below, not the loop."""
-        metrics = self._metrics
         j = 0
         r = 0
         while True:
             sub_key = ops.sub_key[j:]
             sub_ins = ops.sub_ins[j:]
             sub_pos = ops.sub_pos[j:]
-            started = (time.perf_counter() if metrics is not None
-                       else 0.0)
             eff = self._classify_mutations(sub_ins, sub_key)
             crossing = self._crossings(eff, sub_ins)
-            if metrics is not None:
-                metrics.observe("columnar.classify",
-                                time.perf_counter() - started)
             fire = bool(crossing.any())
             if fire:
                 seg = int(np.argmax(crossing)) + 1
@@ -488,25 +462,15 @@ class ServingBackend:
         answers each read against the side tables as they stood at its
         op, then one apply of the segment's effects."""
         if r_end > r:
-            metrics = self._metrics
             keys = ops.read_keys[r:r_end]
             found = found_out[r:r_end]
             probes = probes_out[r:r_end]
-            started = (time.perf_counter() if metrics is not None
-                       else 0.0)
             found[:], probes[:] = self._model_lookup(keys)
-            if metrics is not None:
-                metrics.observe("columnar.model_lookup",
-                                time.perf_counter() - started)
-                started = time.perf_counter()
             effects = None
             if eff.size:
                 upto = np.searchsorted(sub_pos, ops.read_pos[r:r_end])
                 effects = (eff, sub_key, upto)
             self._adjust_reads(keys, found, probes, effects)
-            if metrics is not None:
-                metrics.observe("columnar.adjust",
-                                time.perf_counter() - started)
         self._apply_effects(eff, sub_key)
 
     def _classify_mutations(self, sub_ins: np.ndarray,

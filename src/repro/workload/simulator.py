@@ -54,7 +54,6 @@ alone; as long as they are deterministic, the whole loop is.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -238,8 +237,9 @@ class TickDriver:
     caller may shadow it); the driver records the row both reports
     share (probe percentiles, error bound, retrains, live keys, keys
     injected) and ``close_tick`` the simulator's own channels; the
-    ``<prefix>.tick``/``.ticks``/``.ops`` metrics and ``feedback``
-    follow.  Keys still queued when the trace ends are discarded.
+    ``<prefix>.ticks``/``.ops`` counters, the ``<prefix>.tick`` trace
+    event and ``feedback`` follow.  Keys still queued when the trace
+    ends are discarded.
     """
 
     def __init__(self, target: Any, trace: Trace, tick_ops: int,
@@ -278,8 +278,6 @@ class TickDriver:
         series = self.series
         start = 0
         for tick, end in enumerate(self.bounds):
-            started = (time.perf_counter()
-                       if metrics is not None else 0.0)
             if open_tick is not None:
                 open_tick(tick)
             kinds = trace.kinds[start:end]
@@ -319,8 +317,6 @@ class TickDriver:
             fields = close_tick(tick, keys[reads], probes)
             if metrics is not None:
                 ops = int(end - start)
-                metrics.observe(f"{self._prefix}.tick",
-                                time.perf_counter() - started)
                 metrics.inc(f"{self._prefix}.ticks")
                 metrics.inc(f"{self._prefix}.ops", ops + injected)
                 metrics.trace(f"{self._prefix}.tick", tick=tick,
@@ -445,8 +441,6 @@ class ServingSimulator:
         # — in which case every hook below is one ``is None`` check.
         self._metrics = (metrics if metrics is not None
                          else observe_active())
-        if self._metrics is not None:
-            backend.set_metrics(self._metrics)
         self._closed_loop = (tick_sizes is not None
                              or adversary is not None
                              or tuner is not None)

@@ -3,7 +3,9 @@
 import time
 
 
-def run_tick(events):
+def run_tick(events, metrics):
     cost = time.perf_counter()
     deadline = time.time() + 5.0
+    started = time.perf_counter()
+    metrics.observe("tick", time.perf_counter() - started)
     return {"cost": cost, "deadline": deadline}

@@ -1,11 +1,7 @@
-"""Known-clean REP003 twin: timer anchors and observe() sinks."""
-
-import time
+"""Known-clean REP003 twin: a tick with no clock, costed by a proxy."""
 
 
 def run_tick(events, metrics):
-    started = time.perf_counter()
-    cost = sum(event.weight for event in events)
-    metrics.observe(time.perf_counter() - started)
-    tick_seconds = time.perf_counter() - started
-    return cost, tick_seconds
+    probes = sum(event.probes for event in events)
+    metrics.inc("tick.probes", probes)
+    return {"cost": probes}

@@ -36,7 +36,7 @@ REP007_BINDINGS = tuple(
 EXPECTED_BAD_LINES = {
     "REP001": {9, 10, 11, 12, 13},
     "REP002": {5},
-    "REP003": {7, 8},
+    "REP003": {7, 8, 9, 10},
     "REP004": {8, 9, 10},
     "REP005": {5, 6},
     "REP006": {16},

@@ -4,9 +4,10 @@ A tick costs one REPLAY and at most one LOOKUP per live replica, even
 a defended one: the settings ride the state-changing requests, and
 their replies carry the stats the group answers from.  A worker error
 leaves no reply unread and a failing mutation reaches every replica;
-a range scan is a lookup of its ``lo``; and a replica killed between
+a range scan is a lookup of its ``lo``; a replica killed between
 ticks or mid-tick, or wedged mid-tick, is declared dead without
-stalling the run.
+stalling the run; and one wedged between requests costs its close
+one second.
 """
 
 import os
@@ -264,6 +265,25 @@ def test_wedged_replica_costs_one_wall_timeout():
     finally:
         group.close()
     assert not any(c._process.is_alive() for c in group._replicas)
+
+
+def test_wedged_idle_replica_is_killed_at_close():
+    """A replica stopped *between* requests never answers SHUTDOWN, and
+    a stopped process acts on no SIGTERM: ``close`` kills it after its
+    one-second wait for the reply, and the live replicas still exit
+    cleanly."""
+    group = ReplicaGroup(TransportBook(TransportConfig(wall_timeout_s=1.0)),
+                         0, "binary", KEYS, 0.1, {}, n_replicas=3)
+    victim = group._replicas[1]
+    pid = victim._process.pid
+    os.kill(pid, signal.SIGSTOP)
+    started = time.monotonic()
+    group.close()
+    assert time.monotonic() - started < 2.0
+    assert [c._process.exitcode for c in group._replicas] \
+        == [0, -signal.SIGKILL, 0]
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
 
 
 class BodyLog(FrameLog):

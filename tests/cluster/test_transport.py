@@ -55,7 +55,7 @@ def replay(client, kinds, keys, aux):
     """Found and probes of one REPLAY under the build's settings."""
     return client.replay_reply(client.call(
         MSG_REPLAY, settings_request(0.12, None)
-        + replay_request(None, kinds, keys, aux)))
+        + replay_request(kinds, keys, aux)))
 
 
 # ---------------------------------------------------------------------

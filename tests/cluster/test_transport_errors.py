@@ -73,7 +73,7 @@ SETTINGS = settings_request(0.1, None)
 def replay(client, kinds, keys, aux):
     """Found and probes of one REPLAY."""
     return client.replay_reply(client.call(
-        MSG_REPLAY, SETTINGS + replay_request(None, kinds, keys, aux)))
+        MSG_REPLAY, SETTINGS + replay_request(kinds, keys, aux)))
 
 
 def mutate(client, code, body=b""):
@@ -116,7 +116,7 @@ FOUND = _pack_bool(np.ones(4, dtype=bool))
     (lambda c: c.lookup(np.ones(4, np.int64)),
      FOUND + b"\x04\x00", "MSG_LOOKUP"),
     # the stats, the whole reply, cut short
-    (lambda c: mutate(c, MSG_INSERT, keys_request(None, np.ones(1))),
+    (lambda c: mutate(c, MSG_INSERT, keys_request(np.ones(1))),
      STATS[:-1], "MSG_INSERT"),
     (lambda c: mutate(c, MSG_REBUILD), STATS[:-1], "MSG_REBUILD"),
     (lambda c: c.live_keys(), _pack_i64(np.arange(3))[:-8],

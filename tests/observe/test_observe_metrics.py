@@ -5,7 +5,6 @@ import threading
 import pytest
 
 from repro import observe
-from repro.observe.metrics import TimingStat
 
 
 class TestCounters:
@@ -19,7 +18,8 @@ class TestCounters:
         reg = observe.MetricsRegistry()
         assert len(reg) == 0
         reg.inc("a")
-        reg.observe("c", 0.5)
+        reg.inc("c", 5)
+        reg.inc("a")
         assert len(reg) == 2
 
     def test_thread_safety_of_inc(self):
@@ -37,26 +37,6 @@ class TestCounters:
         assert reg.counters["n"] == 4000
 
 
-class TestTimings:
-    def test_observe_accumulates_stats(self):
-        reg = observe.MetricsRegistry()
-        reg.observe("stage", 0.5)
-        reg.observe("stage", 1.5)
-        stat = reg.timings["stage"]
-        assert stat.count == 2
-        assert stat.total == 2.0
-        assert stat.min == 0.5
-        assert stat.max == 1.5
-        assert stat.to_dict()["mean_seconds"] == 1.0
-
-    def test_empty_stat_serializes_finite(self):
-        stat = TimingStat()
-        d = stat.to_dict()
-        assert d["count"] == 0
-        assert d["min_seconds"] == 0.0
-        assert d["mean_seconds"] == 0.0
-
-
 class TestTrace:
     def test_events_preserve_order_and_fields(self):
         reg = observe.MetricsRegistry()
@@ -72,12 +52,11 @@ class TestProfile:
         reg = observe.MetricsRegistry()
         reg.inc("z")
         reg.inc("a")
-        reg.observe("stage", 0.1)
         reg.trace("e")
         profile = reg.to_profile()
+        assert profile == {"counters": {"a": 1, "z": 1},
+                           "trace_events": 1}
         assert list(profile["counters"]) == ["a", "z"]
-        assert profile["trace_events"] == 1
-        assert profile["timings"]["stage"]["count"] == 1
 
 
 class TestInstallHook:
