@@ -32,13 +32,9 @@ class AttackerCapability:
     ----------
     poisoning_percentage:
         ``100 * p / n`` — crafted keys as a share of legitimate keys.
-    interior_only:
-        Restrict insertions to the legitimate key range so range and
-        outlier sanitizers cannot flag them (the paper's default).
     """
 
     poisoning_percentage: float
-    interior_only: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.poisoning_percentage <= MAX_POISONING_PERCENTAGE:

@@ -12,17 +12,11 @@ from .cost import (
 from .dynamic import DynamicLearnedIndex
 from .first_stage import LinearRoot, MLPRoot, PiecewiseLinearRoot, RootModel
 from .linear_index import LinearLearnedIndex
-from .rmi import (
-    BoundaryRoot,
-    LookupResult,
-    RecursiveModelIndex,
-    SecondStageModel,
-)
-from .sorted_store import ProbeResult, SortedStore
+from .rmi import BoundaryRoot, RecursiveModelIndex, SecondStageModel
+from .sorted_store import SortedStore
 
 __all__ = [
     "SortedStore",
-    "ProbeResult",
     "BatchProbeResult",
     "BatchLookupResult",
     "windowed_search_batch",
@@ -33,7 +27,6 @@ __all__ = [
     "MLPRoot",
     "BoundaryRoot",
     "SecondStageModel",
-    "LookupResult",
     "RecursiveModelIndex",
     "BTree",
     "BTreeSearchResult",

@@ -1,29 +1,30 @@
-"""Vectorized batched lookups: the online-serving hot path.
+"""Vectorized batched lookups: the one search path of every index.
 
-The scalar lookup APIs (`SortedStore.search_window`,
-`RecursiveModelIndex.lookup`, ...) pay Python-interpreter overhead per
-key, which dominates once a workload replays millions of queries.
-This module vectorizes the *identical* algorithm.  A binary search's
-comparisons in a sorted unique table depend only on the query's rank
-there (its count of smaller keys) and on whether the table holds it,
-so a batch of windowed searches is one ``searchsorted`` for the ranks
-plus a walk of the midpoint path in index space: ``log2(window)``
-rounds of a handful of ufunc launches over the whole batch, none of
-which touches a key.
+A scalar lookup pays Python-interpreter overhead per key, which
+dominates once a workload replays millions of queries, so every
+index answers lookups in batches.  A binary search's comparisons in a
+sorted unique table depend only on the query's rank there (its count
+of smaller keys) and on whether the table holds it, so a batch of
+windowed searches is one ``searchsorted`` for the ranks plus a walk
+of the midpoint path in index space: ``log2(window)`` rounds of a
+handful of ufunc launches over the whole batch, none of which touches
+a key.
 
 Equivalence contract
 --------------------
-:func:`windowed_search_batch` performs, per element, exactly the loop
-of :meth:`repro.index.sorted_store.SortedStore.search_window`: same
-midpoint sequence, same early exit on a hit, same probe count.
-:func:`path_probes` is that walk, and the one place the probe count of
+:func:`windowed_search_batch` performs, per element, exactly the
+textbook binary search of a ``[lo, hi]`` window: same midpoint
+sequence, same early exit on a hit, same probe count.  That scalar
+loop is kept once, as the test oracle ``tests/search_oracle.py``,
+with the scalar RMI, linear and dynamic lookups built on it.
+:func:`path_probes` is the walk, and the one place the probe count of
 a binary search is computed: the side-table searches of every
 structure and the serving replay's as-of counts
 (:func:`repro.workload.columnar.search_probes`) call it too.  The
-batched index lookups built on it therefore return bit-identical
-positions and probes to their scalar counterparts — pinned by
-``tests/index/test_batch_lookup.py`` — which is what lets the serving
-simulator batch queries without changing any measured cost.
+index lookups built on it return bit-identical positions and probes
+to the oracle's scalar lookups — pinned by
+``tests/index/test_batch_lookup.py`` — so batching a query stream
+never changes a measured cost.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ __all__ = ["BatchProbeResult", "BatchLookupResult",
 
 @dataclass(frozen=True)
 class BatchProbeResult:
-    """Vector analogue of :class:`~repro.index.sorted_store.ProbeResult`.
+    """Outcome of a batch of last-mile searches.
 
     Attributes
     ----------
@@ -63,7 +64,19 @@ class BatchProbeResult:
 
 @dataclass(frozen=True)
 class BatchLookupResult:
-    """Vector analogue of :class:`~repro.index.rmi.LookupResult`."""
+    """Outcome of a batch of index lookups.
+
+    Attributes
+    ----------
+    found:
+        Whether each query is stored.
+    positions:
+        0-based slot per query, ``-1`` where absent.
+    probes:
+        Cells touched per query, side-table searches included.
+    model_index:
+        Second-stage expert each query was routed to.
+    """
 
     found: np.ndarray
     positions: np.ndarray
@@ -86,7 +99,7 @@ def side_table_search(side: np.ndarray, queries: np.ndarray,
     ``side``, accumulating into ``probes`` in place; hits flip
     ``found`` and, when a ``positions`` array is given, record
     ``offset + slot``.  One implementation keeps the probe accounting
-    bit-identical everywhere the idiom appears — the scalar/batch and
+    bit-identical everywhere the idiom appears — the oracle and
     jobs-parity guarantees both lean on that.
     """
     miss = np.nonzero(~found)[0]
@@ -141,7 +154,7 @@ def windowed_search_batch(sorted_keys: np.ndarray, queries: np.ndarray,
 
     ``sorted_keys`` is sorted and unique; all other arrays align
     element-for-element with ``queries``, and ``lo > hi`` denotes an
-    empty window (zero probes, not found).  The scalar loop's
+    empty window (zero probes, not found).  A binary search's
     comparisons depend only on where the query ranks among the keys,
     so one ``searchsorted`` gives each query's rank and
     :func:`path_probes` walks the same midpoint path in index space;
@@ -168,7 +181,7 @@ def path_probes(lo: np.ndarray, hi: np.ndarray, rank: np.ndarray,
     with ``rank`` smaller keys in a sorted unique table that holds it
     (``member``) or not.
 
-    The scalar loop's outcome at a midpoint is fixed by the rank
+    A key-reading search's outcome at a midpoint is fixed by the rank
     alone: ``keys[mid] < q`` is ``mid < rank``, and a stored key stops
     the search at ``mid == rank``.  So the walk never reads a key:
     ``lo`` moves past ``mid`` while ``mid < rank + member`` and ``hi``

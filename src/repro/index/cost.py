@@ -44,28 +44,29 @@ def _sample_queries(keys: np.ndarray, n_queries: int,
     return rng.choice(keys, size=n_queries, replace=False)
 
 
+def _report(label: str, costs: np.ndarray) -> CostReport:
+    if costs.size == 0:
+        raise ValueError("need at least one key to measure cost")
+    return CostReport(label, float(costs.mean()), float(costs.max()),
+                      int(costs.size))
+
+
 def rmi_cost(index: RecursiveModelIndex, queries: np.ndarray,
              label: str = "rmi") -> CostReport:
     """Probe-count cost of an RMI over the given stored-key queries."""
-    probes = np.asarray([index.lookup(int(k)).probes for k in queries])
-    return CostReport(label, float(probes.mean()), float(probes.max()),
-                      int(queries.size))
+    return _report(label, index.lookup_batch(queries).probes)
 
 
 def linear_index_cost(index: LinearLearnedIndex, queries: np.ndarray,
                       label: str = "linear-index") -> CostReport:
     """Probe-count cost of the single-model learned index."""
-    probes = np.asarray([index.lookup(int(k)).probes for k in queries])
-    return CostReport(label, float(probes.mean()), float(probes.max()),
-                      int(queries.size))
+    return _report(label, index.lookup_batch(queries).probes)
 
 
 def btree_cost(tree: BTree, queries: np.ndarray,
                label: str = "btree") -> CostReport:
     """Comparison-count cost of the B-Tree baseline."""
-    comps = np.asarray([tree.search(int(k)).comparisons for k in queries])
-    return CostReport(label, float(comps.mean()), float(comps.max()),
-                      int(queries.size))
+    return _report(label, tree.search_batch(queries)[1])
 
 
 def compare_costs(stored_keys: np.ndarray, poisoned_keys: np.ndarray,

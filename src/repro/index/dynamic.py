@@ -22,8 +22,8 @@ Design:
   feeding crafted keys through the public ``insert`` API poisons the
   next retraining cycle without ever touching the initial build.
 
-:meth:`DynamicLearnedIndex.lookup` reports probes so experiments can
-watch the update-channel attack degrade post-retrain performance.
+:meth:`DynamicLearnedIndex.lookup_batch` reports probes so experiments
+can watch the update-channel attack degrade post-retrain performance.
 
 Defense hook: a ``sanitizer`` (e.g. TRIM) may screen every retrain's
 training set.  Keys it rejects are *quarantined*, not dropped: they
@@ -41,7 +41,7 @@ import numpy as np
 
 from ..data.keyset import KeySet
 from .batch import BatchLookupResult, merge_disjoint, side_table_search
-from .rmi import LookupResult, RecursiveModelIndex
+from .rmi import RecursiveModelIndex
 
 __all__ = ["DynamicLearnedIndex"]
 
@@ -282,49 +282,14 @@ class DynamicLearnedIndex:
                 return True
         return False
 
-    def lookup(self, key: int) -> LookupResult:
-        """Find a key: RMI over the base, then binary search on the
-        delta buffer and (when a sanitizer quarantined keys) on the
-        quarantine list.
+    def lookup_batch(self, keys: np.ndarray) -> BatchLookupResult:
+        """Find keys: the RMI over the base, then one full-range binary
+        search of the delta buffer and one of the quarantine list for
+        the keys still missing.
 
         Probes include every side-list binary-search step, so the cost
-        of a swollen buffer — and the slow-path tax a defense pays for
-        quarantining — is visible.
-        """
-        result = self._rmi.lookup(int(key))
-        if result.found:
-            return result
-        # Fall through to the delta buffer, then the quarantine.
-        probes = result.probes
-        for offset, side in (
-                (int(self._base.size), self._delta),
-                (int(self._base.size) + int(self._delta.size),
-                 self._quarantine)):
-            lo, hi = 0, side.size - 1
-            while lo <= hi:
-                mid = (lo + hi) // 2
-                probes += 1
-                stored = int(side[mid])
-                if stored == key:
-                    return LookupResult(found=True,
-                                        position=offset + mid,
-                                        probes=probes,
-                                        model_index=result.model_index)
-                if stored < key:
-                    lo = mid + 1
-                else:
-                    hi = mid - 1
-        return LookupResult(found=False, position=-1, probes=probes,
-                            model_index=result.model_index)
-
-    def lookup_batch(self, keys: np.ndarray) -> BatchLookupResult:
-        """Vectorized :meth:`lookup`: batched RMI probe, then one
-        batched binary search over the delta buffer for the misses.
-
-        Bit-identical to the scalar path per element — the delta
-        search runs the same full-range binary search the scalar loop
-        does, so a swollen (or poison-laden) buffer costs exactly the
-        same probes either way.
+        of a swollen (or poison-laden) buffer — and the slow-path tax
+        a defense pays for quarantining — is visible.
         """
         keys = np.asarray(keys, dtype=np.int64)
         base = self._rmi.lookup_batch(keys)

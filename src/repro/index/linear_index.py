@@ -1,9 +1,10 @@
 """Single-model learned index: one linear regression over the CDF.
 
 The simplest learned index — the building block Section IV attacks
-directly.  One line predicts the position of every key; lookups fall
-back to exponential search around the prediction, so the index is
-always correct and its cost degrades smoothly with the model error.
+directly.  One line predicts the position of every key; a lookup
+binary-searches the window of the recorded training error around the
+prediction, so the index is always correct for stored keys and its
+cost grows with the model error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 from ..core.cdf_regression import LinearModel, fit_cdf_regression
 from ..data.keyset import KeySet
 from .batch import BatchProbeResult
-from .sorted_store import ProbeResult, SortedStore
+from .sorted_store import SortedStore
 
 __all__ = ["LinearLearnedIndex"]
 
@@ -30,7 +31,7 @@ class LinearLearnedIndex:
         self._model = fit.model
         self._mse = fit.mse
         # Worst observed position error over the training keys (+1 for
-        # rounding slack) — the window the batched lookup searches.
+        # rounding slack) — the window a lookup searches.
         errors = (np.arange(keys.size, dtype=np.float64)
                   - fit.model.predict(keys))
         self._max_error = int(np.ceil(np.abs(errors).max())) + 1
@@ -50,30 +51,17 @@ class LinearLearnedIndex:
         """The backing sorted array."""
         return self._store
 
-    def predict_position(self, key: int) -> int:
-        """Clamped integer position prediction for a key."""
-        n = len(self._store)
-        predicted = int(np.rint(self._model.predict(float(key))))
-        return min(max(predicted, 0), n - 1)
-
     @property
     def max_error(self) -> int:
         """Recorded worst-case position error (with rounding slack)."""
         return self._max_error
 
-    def lookup(self, key: int) -> ProbeResult:
-        """Locate a key via prediction + exponential last-mile search."""
-        return self._store.search_exponential(key, self.predict_position(key))
-
     def lookup_batch(self, keys: np.ndarray) -> BatchProbeResult:
-        """Vectorized lookup of many keys at once.
+        """Locate keys: clamped prediction + windowed last-mile search.
 
-        Unlike the scalar :meth:`lookup` (which gallops outward because
-        it assumes no stored bound), the batch path searches the window
-        given by the *recorded* training error bound — every stored key
-        is guaranteed inside it, so found flags and positions agree
-        with the scalar path while the probe counts follow the
-        windowed-search cost model of the RMI.
+        The window is the *recorded* training error bound around each
+        prediction, so every stored key is inside it, and the probe
+        counts follow the windowed-search cost model of the RMI.
         """
         keys = np.asarray(keys, dtype=np.int64)
         n = len(self._store)
@@ -87,4 +75,4 @@ class LinearLearnedIndex:
         keys = np.asarray(keys)
         if keys.size == 0:
             raise ValueError("need at least one key to measure cost")
-        return float(np.mean([self.lookup(int(k)).probes for k in keys]))
+        return float(self.lookup_batch(keys).probes.mean())

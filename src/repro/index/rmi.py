@@ -36,8 +36,7 @@ from .batch import BatchLookupResult
 from .first_stage import RootModel
 from .sorted_store import SortedStore
 
-__all__ = ["BoundaryRoot", "SecondStageModel", "LookupResult",
-           "RecursiveModelIndex"]
+__all__ = ["BoundaryRoot", "SecondStageModel", "RecursiveModelIndex"]
 
 
 class BoundaryRoot(RootModel):
@@ -108,16 +107,6 @@ class SecondStageModel:
         return self.err_hi - self.err_lo + 1
 
 
-@dataclass(frozen=True)
-class LookupResult:
-    """Outcome of one index lookup."""
-
-    found: bool
-    position: int
-    probes: int
-    model_index: int
-
-
 class RecursiveModelIndex:
     """The two-stage learned index under attack."""
 
@@ -135,8 +124,8 @@ class RecursiveModelIndex:
         self._intercepts = np.asarray([m.intercept for m in models])
         err_lo = np.asarray([m.err_lo for m in models], dtype=np.int64)
         err_hi = np.asarray([m.err_hi for m in models], dtype=np.int64)
-        # The last-mile half-width each expert searches, with the
-        # scalar lookup's rounding slack.
+        # The last-mile half-width each expert searches, with one
+        # cell of rounding slack on either side of its error range.
         self._half_width = np.maximum(np.abs(err_lo - 1),
                                       np.abs(err_hi + 1))
         # An expert that serves no key has window 1, no wider than a
@@ -266,38 +255,15 @@ class RecursiveModelIndex:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def lookup(self, key: int) -> LookupResult:
-        """Find a key: route, predict, bounded last-mile search.
-
-        Always correct for stored keys (error windows were recorded
-        over exactly the keys each expert serves).  Absent keys report
-        ``found=False`` after exhausting the window.
-        """
-        n = len(self._store)
-        model_idx = int(self._root.route(np.asarray([key]), n,
-                                         self.n_models)[0])
-        model = self._models[model_idx]
-        predicted = int(np.rint(model.predict(float(key))))
-        predicted = min(max(predicted, 0), n - 1)
-        lo_err = model.err_lo - 1  # rounding slack
-        hi_err = model.err_hi + 1
-        window = max(abs(lo_err), abs(hi_err))
-        probe = self._store.search_window(key, predicted, window)
-        return LookupResult(found=probe.found,
-                            position=probe.position,
-                            probes=probe.probes,
-                            model_index=model_idx)
-
     def lookup_batch(self, keys: np.ndarray) -> BatchLookupResult:
-        """Vectorized :meth:`lookup` over a batch of keys.
+        """Find keys: route, predict, bounded last-mile search.
 
         Routes every key through the root in one pass, gathers each
         routed expert's line and error window, and resolves the last
-        mile with one batched windowed binary search.  Found flags,
-        positions, probe counts, and model indices are bit-identical
-        to the scalar :meth:`lookup` per element; only the
-        interpreter overhead goes away, which is what makes this the
-        serving simulator's hot path.
+        mile with one batched windowed binary search.  Always correct
+        for stored keys (error windows were recorded over exactly the
+        keys each expert serves); absent keys report ``found=False``
+        after exhausting the window.
         """
         n = len(self._store)
         keys = np.asarray(keys, dtype=np.int64)
@@ -321,46 +287,3 @@ class RecursiveModelIndex:
         if keys.size == 0:
             raise ValueError("need at least one key to measure cost")
         return float(self.lookup_batch(keys).probes.mean())
-
-    # ------------------------------------------------------------------
-    # Range scans
-    # ------------------------------------------------------------------
-    def range_scan(self, lo: int, hi: int) -> tuple[np.ndarray, int]:
-        """All stored keys in ``[lo, hi]`` plus the probe cost.
-
-        A learned range index only needs to *locate* the left endpoint
-        — the rest is a sequential scan.  The left endpoint is found
-        with the same route + predict + bounded-window machinery as a
-        point lookup, searching for the insertion position of ``lo``;
-        the probe count therefore inflates with poisoning exactly like
-        point lookups do.
-        """
-        if hi < lo:
-            return self._store.keys[:0], 0
-        n = len(self._store)
-        model = self._models[self.route_key(int(lo))]
-        predicted = int(np.rint(model.predict(float(lo))))
-        predicted = min(max(predicted, 0), n - 1)
-        window = max(abs(model.err_lo - 1), abs(model.err_hi + 1))
-        left = max(0, predicted - window)
-        right = min(n - 1, predicted + window)
-        probes = 0
-        # Binary search for the first key >= lo inside the window,
-        # falling back to widening if the window missed (cannot happen
-        # for stored keys; absent `lo` values may need the fallback).
-        keys = self._store.keys
-        if keys[left] > lo or keys[right] < lo:
-            start = int(np.searchsorted(keys, lo, side="left"))
-            probes += max(1, int(np.ceil(np.log2(max(n, 2)))))
-        else:
-            lo_idx, hi_idx = left, right
-            while lo_idx < hi_idx:
-                mid = (lo_idx + hi_idx) // 2
-                probes += 1
-                if keys[mid] < lo:
-                    lo_idx = mid + 1
-                else:
-                    hi_idx = mid
-            start = lo_idx
-        stop = int(np.searchsorted(keys, hi, side="right"))
-        return keys[start:stop], probes

@@ -6,50 +6,21 @@ over a contiguous region).  A learned model predicts a *position*; the
 store then performs the "last mile" search around that prediction to
 land on the exact slot.
 
-Two local-search strategies are provided:
-
-* :meth:`SortedStore.search_window` — binary search within a known
-  error window ``[pred - max_err, pred + max_err]``, the strategy the
-  original LIS paper uses when per-model error bounds are stored;
-* :meth:`SortedStore.search_exponential` — exponential (galloping)
-  search outward from the prediction when no bound is known.
-
-Both count *probed cells*, the implementation-independent cost proxy
-used by :mod:`repro.index.cost` (the paper's nanosecond benchmark is
-not public, see Sec. III-C).
+The one local search is :meth:`SortedStore.search_window_batch`: a
+binary search within each query's error window ``[pred - max_err,
+pred + max_err]``, the strategy the original LIS paper uses when
+per-model error bounds are stored.  It counts *probed cells*, the
+implementation-independent cost proxy used by :mod:`repro.index.cost`
+(the paper's nanosecond benchmark is not public, see Sec. III-C).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .batch import BatchProbeResult, windowed_search_batch
 
-__all__ = ["ProbeResult", "RangeResult", "SortedStore"]
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """Outcome of a last-mile search.
-
-    Attributes
-    ----------
-    position:
-        0-based slot of the key, or ``-1`` when absent.
-    probes:
-        Number of array cells touched, the lookup cost proxy.
-    found:
-        Whether the key is stored.
-    """
-
-    position: int
-    probes: int
-
-    @property
-    def found(self) -> bool:
-        return self.position >= 0
+__all__ = ["SortedStore"]
 
 
 class SortedStore:
@@ -79,59 +50,17 @@ class SortedStore:
     def __len__(self) -> int:
         return int(self._keys.size)
 
-    def key_at(self, position: int) -> int:
-        """Key stored at a 0-based slot."""
-        return int(self._keys[position])
-
-    def range_scan(self, lo: int, hi: int) -> "RangeResult":
-        """All stored keys in ``[lo, hi]`` as a slice, via two
-        binary searches (the baseline a learned range index must beat
-        on the *first* endpoint; the scan itself is sequential)."""
-        n = self._keys.size
-        start = int(np.searchsorted(self._keys, lo, side="left"))
-        stop = int(np.searchsorted(self._keys, hi, side="right"))
-        # Two binary searches at ~log2(n) probed cells each.
-        probes = 2 * max(1, int(np.ceil(np.log2(max(n, 2)))))
-        return RangeResult(start=start, stop=stop, probes=probes)
-
-    # ------------------------------------------------------------------
-    # Last-mile search strategies
-    # ------------------------------------------------------------------
-    def search_window(self, key: int, predicted: int,
-                      max_error: int) -> ProbeResult:
-        """Binary search inside ``[predicted - e, predicted + e]``.
-
-        ``max_error`` is the model's worst-case position error for the
-        keys it serves; larger post-poisoning errors directly inflate
-        the probe count (log of the window plus verification).
-        """
-        n = self._keys.size
-        lo = max(0, predicted - max_error)
-        hi = min(n - 1, predicted + max_error)
-        probes = 0
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            probes += 1
-            stored = self._keys[mid]
-            if stored == key:
-                return ProbeResult(int(mid), probes)
-            if stored < key:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return ProbeResult(-1, probes)
-
     def search_window_batch(self, keys: np.ndarray,
                             predicted: np.ndarray,
                             max_error: np.ndarray | int,
                             ) -> BatchProbeResult:
-        """Vectorized :meth:`search_window` over a batch of queries.
+        """Binary-search each key inside ``[predicted - e, predicted + e]``.
 
-        ``predicted`` aligns with ``keys``; ``max_error`` may be a
-        scalar or per-query array.  Positions and probe counts are
-        bit-identical to running :meth:`search_window` per element —
-        the batched form only removes interpreter overhead, never
-        changes the measured cost.
+        ``predicted`` aligns with ``keys``; ``max_error`` is the
+        model's worst-case position error, a scalar or per-query
+        array, and the window is clipped to the array.  Larger
+        post-poisoning errors directly inflate the probe count (log of
+        the window plus verification).
         """
         n = self._keys.size
         keys = np.asarray(keys, dtype=np.int64)
@@ -141,66 +70,3 @@ class SortedStore:
         lo = np.maximum(0, predicted - err)
         hi = np.minimum(n - 1, predicted + err)
         return windowed_search_batch(self._keys, keys, lo, hi)
-
-    def search_exponential(self, key: int, predicted: int) -> ProbeResult:
-        """Galloping search outward from the predicted position.
-
-        Doubles the radius until the key is bracketed, then binary
-        searches the bracket.  Cost grows with the *logarithm of the
-        prediction error*, so it degrades gracefully — but still
-        measurably — under poisoning.
-        """
-        n = self._keys.size
-        pos = min(max(predicted, 0), n - 1)
-        probes = 1
-        anchor = self._keys[pos]
-        if anchor == key:
-            return ProbeResult(pos, probes)
-
-        radius = 1
-        if anchor < key:
-            lo = pos + 1
-            hi = pos
-            while hi < n - 1:
-                hi = min(pos + radius, n - 1)
-                probes += 1
-                if self._keys[hi] >= key:
-                    break
-                lo = hi + 1
-                radius *= 2
-        else:
-            hi = pos - 1
-            lo = pos
-            while lo > 0:
-                lo = max(pos - radius, 0)
-                probes += 1
-                if self._keys[lo] <= key:
-                    break
-                hi = lo - 1
-                radius *= 2
-
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            probes += 1
-            stored = self._keys[mid]
-            if stored == key:
-                return ProbeResult(int(mid), probes)
-            if stored < key:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return ProbeResult(-1, probes)
-
-
-@dataclass(frozen=True)
-class RangeResult:
-    """Outcome of a range scan: slice bounds plus cost."""
-
-    start: int
-    stop: int  # exclusive
-    probes: int
-
-    @property
-    def count(self) -> int:
-        """Number of keys in the range."""
-        return max(self.stop - self.start, 0)

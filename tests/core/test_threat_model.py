@@ -23,9 +23,6 @@ class TestAttackerCapability:
         with pytest.raises(ValueError):
             AttackerCapability(poisoning_percentage=-1.0)
 
-    def test_defaults_interior(self):
-        assert AttackerCapability(poisoning_percentage=5.0).interior_only
-
     def test_frozen(self):
         cap = AttackerCapability(poisoning_percentage=5.0)
         with pytest.raises(AttributeError):

@@ -38,8 +38,7 @@ class TestPoisonViaUpdates:
     def test_index_remains_correct(self, live_index):
         dyn, keyset = live_index
         poison_via_updates(dyn, poisoning_percentage=10.0)
-        for key in keyset.keys[::91]:
-            assert dyn.lookup(int(key)).found
+        assert dyn.lookup_batch(keyset.keys[::91]).found.all()
 
     def test_lookup_cost_rises(self, rng):
         keyset = uniform_keyset(1000, Domain(0, 19_999), rng)

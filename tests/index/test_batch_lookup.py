@@ -1,10 +1,11 @@
-"""Scalar/batch equivalence for the vectorized lookup hot path.
+"""Batched lookups against the scalar search oracle.
 
-The batched APIs exist to remove interpreter overhead, never to change
-a measured cost: `windowed_search_batch` must reproduce the scalar
-`search_window` bit for bit (same midpoints, same early exit, same
-probe count), and every index's `lookup_batch` must agree with its
-scalar `lookup` element for element.
+Every lookup is batched to remove interpreter overhead, never to
+change a measured cost: `windowed_search_batch` must reproduce the
+key-reading binary search of `search_oracle` bit for bit (same
+midpoints, same early exit, same probe count), and every index's
+`lookup_batch` must agree with the oracle's scalar lookup for that
+index element for element.
 """
 
 import numpy as np
@@ -19,6 +20,12 @@ from repro.index import (
     RecursiveModelIndex,
     SortedStore,
     windowed_search_batch,
+)
+from search_oracle import (
+    dynamic_lookup,
+    linear_lookup,
+    rmi_lookup,
+    search_window,
 )
 
 
@@ -64,19 +71,19 @@ def _window_cases():
     """Every window width from 1 to 300 inside ``TABLE``, with a query
     at every stored offset and in every gap (the two gaps just outside
     the window included), plus a query below and above the key range;
-    and the scalar ``search_window`` answer of each.  A window
-    ``[lo, hi]`` is the scalar search of the store cut at ``hi``,
+    and the oracle's ``search_window`` answer of each.  A window
+    ``[lo, hi]`` is the oracle's search of the table cut at ``hi``,
     predicted at ``hi`` with error ``hi - lo``: clipping at the cut
     end leaves exactly that window over the same indices."""
     rows = []
     for width in range(1, 301):
         lo = 7 + width % 5
         hi = lo + width - 1
-        cut = SortedStore(TABLE[:hi + 1])
+        cut = TABLE[:hi + 1]
         stored = TABLE[lo:hi + 1]
         gaps = TABLE[lo:hi + 2] - 1
         for query in np.concatenate([stored, gaps, [-5, 805]]).tolist():
-            ref = cut.search_window(query, hi, width - 1)
+            ref = search_window(cut, query, hi, width - 1)
             rows.append((query, lo, hi, ref.position, ref.probes))
     return np.asarray(rows, dtype=np.int64).T
 
@@ -102,7 +109,7 @@ class TestWindowedSearchBatch:
                 for e in (0, 1, 2, 7, 150, 299, 300, 1_000)
                 for q in (-5, 0, 1, 2, 13, 300, 301, 2 * n - 3, 2 * n - 2,
                           2 * n - 1, 2 * n + 5)]
-        want = [store.search_window(q, p, e) for q, p, e in grid]
+        want = [search_window(TABLE, q, p, e) for q, p, e in grid]
         got = _in_batches(size, store.search_window_batch,
                           *np.asarray(grid, dtype=np.int64).T)
         assert np.array_equal(got[0], [r.position for r in want])
@@ -115,7 +122,7 @@ class TestWindowedSearchBatch:
         errors = rng.integers(0, 400, size=queries.size)
         batch = store.search_window_batch(queries, predicted, errors)
         for i, (q, p, e) in enumerate(zip(queries, predicted, errors)):
-            scalar = store.search_window(int(q), int(p), int(e))
+            scalar = search_window(store.keys, int(q), int(p), int(e))
             assert batch.positions[i] == scalar.position
             assert batch.probes[i] == scalar.probes
             assert batch.found[i] == scalar.found
@@ -125,7 +132,7 @@ class TestWindowedSearchBatch:
         predicted = np.full(queries.shape, len(store) // 2)
         batch = store.search_window_batch(queries, predicted, 50)
         for i, q in enumerate(queries):
-            scalar = store.search_window(int(q), len(store) // 2, 50)
+            scalar = search_window(store.keys, int(q), len(store) // 2, 50)
             assert batch.probes[i] == scalar.probes
 
     def test_empty_window_reports_nothing(self):
@@ -164,7 +171,7 @@ class TestRMIBatch:
     def test_matches_scalar_lookup(self, rmi, queries):
         batch = rmi.lookup_batch(queries)
         for i, q in enumerate(queries):
-            scalar = rmi.lookup(int(q))
+            scalar = rmi_lookup(rmi, int(q))
             assert batch.found[i] == scalar.found
             assert batch.positions[i] == scalar.position
             assert batch.probes[i] == scalar.probes
@@ -178,7 +185,7 @@ class TestRMIBatch:
 
     def test_lookup_cost_unchanged(self, rmi, queries):
         scalar_mean = float(np.mean(
-            [rmi.lookup(int(q)).probes for q in queries]))
+            [rmi_lookup(rmi, int(q)).probes for q in queries]))
         assert rmi.lookup_cost(queries) == scalar_mean
 
 
@@ -188,18 +195,25 @@ class TestLinearBatch:
         return LinearLearnedIndex(keyset)
 
     def test_positions_match_scalar(self, index, queries):
+        """Found flags, positions and probes per element: the probes
+        ``LinearBackend`` serves and ``lookup_cost`` averages."""
         batch = index.lookup_batch(queries)
         for i, q in enumerate(queries):
-            scalar = index.lookup(int(q))
+            scalar = linear_lookup(index, int(q))
             assert batch.found[i] == scalar.found
-            if scalar.found:
-                assert batch.positions[i] == scalar.position
+            assert batch.positions[i] == scalar.position
+            assert batch.probes[i] == scalar.probes
 
     def test_error_bound_covers_every_stored_key(self, index):
         batch = index.lookup_batch(index.store.keys)
         assert batch.found.all()
         assert batch.probes.max() <= int(
             np.ceil(np.log2(2 * index.max_error + 2))) + 1
+
+    def test_lookup_cost_matches_scalar_mean(self, index, queries):
+        scalar_mean = float(np.mean(
+            [linear_lookup(index, int(q)).probes for q in queries]))
+        assert index.lookup_cost(queries) == scalar_mean
 
     def test_max_error_positive(self, index):
         assert index.max_error >= 1
@@ -221,7 +235,7 @@ class TestDynamicBatch:
         index, _ = loaded
         batch = index.lookup_batch(queries)
         for i, q in enumerate(queries):
-            scalar = index.lookup(int(q))
+            scalar = dynamic_lookup(index, int(q))
             assert batch.found[i] == scalar.found
             assert batch.positions[i] == scalar.position
             assert batch.probes[i] == scalar.probes
@@ -237,7 +251,7 @@ class TestDynamicBatch:
     def test_lookup_cost_matches_scalar_mean(self, loaded, queries):
         index, _ = loaded
         scalar_mean = float(np.mean(
-            [index.lookup(int(q)).probes for q in queries]))
+            [dynamic_lookup(index, int(q)).probes for q in queries]))
         assert index.lookup_cost(queries) == scalar_mean
 
 

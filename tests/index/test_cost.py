@@ -1,5 +1,6 @@
 """Unit tests for the lookup-cost comparison harness."""
 
+import numpy as np
 import pytest
 
 from repro.core import greedy_poison
@@ -69,3 +70,30 @@ class TestCompareCosts:
         by_label = {r.structure: r for r in reports}
         assert (by_label["rmi (poisoned)"].mean_cost
                 > by_label["rmi (clean)"].mean_cost)
+
+
+@pytest.mark.filterwarnings("error")
+class TestEmptyQueries:
+    """An empty batch is a named error, raised before any mean or max
+    is taken (so no "Mean of empty slice" warning either)."""
+
+    EMPTY = np.empty(0, dtype=np.int64)
+
+    def test_rmi_cost(self, keyset):
+        rmi = RecursiveModelIndex.build_equal_size(keyset, 20)
+        with pytest.raises(ValueError, match="need at least one key"):
+            rmi_cost(rmi, self.EMPTY)
+
+    def test_linear_index_cost(self, keyset):
+        index = LinearLearnedIndex(keyset)
+        with pytest.raises(ValueError, match="need at least one key"):
+            linear_index_cost(index, self.EMPTY)
+
+    def test_btree_cost(self, keyset):
+        tree = BTree.bulk_load(keyset.keys)
+        with pytest.raises(ValueError, match="need at least one key"):
+            btree_cost(tree, self.EMPTY)
+
+    def test_compare_costs_without_queries(self, keyset):
+        with pytest.raises(ValueError, match="need at least one key"):
+            compare_costs(keyset.keys, keyset.keys, 10, n_queries=0)

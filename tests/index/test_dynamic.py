@@ -36,8 +36,7 @@ class TestInsertAndLookup:
         probe = next(x for x in range(20_000)
                      if not dyn.contains(x))
         dyn.insert(probe)
-        result = dyn.lookup(probe)
-        assert result.found
+        assert dyn.lookup_batch([probe]).found.all()
 
     def test_base_keys_still_findable_after_inserts(self, index, rng):
         dyn, keyset = index
@@ -45,8 +44,7 @@ class TestInsertAndLookup:
                  if not dyn.contains(x)][:30]
         for key in fresh:
             dyn.insert(key)
-        for key in keyset.keys[::53]:
-            assert dyn.lookup(int(key)).found
+        assert dyn.lookup_batch(keyset.keys[::53]).found.all()
 
     def test_duplicate_rejected(self, index):
         dyn, keyset = index
@@ -63,7 +61,7 @@ class TestInsertAndLookup:
     def test_absent_key_not_found(self, index):
         dyn, _ = index
         probe = next(x for x in range(20_000) if not dyn.contains(x))
-        assert not dyn.lookup(probe).found
+        assert not dyn.lookup_batch([probe]).found.any()
 
     def test_n_keys_tracks_inserts(self, index):
         dyn, keyset = index
@@ -90,8 +88,7 @@ class TestRetraining:
         fresh = [x for x in range(20_000) if not dyn.contains(x)][:50]
         dyn.insert_batch(np.asarray(fresh))
         assert dyn.delta_size == 0
-        for key in fresh[::7]:
-            assert dyn.lookup(key).found
+        assert dyn.lookup_batch(fresh[::7]).found.all()
 
     def test_flush_forces_retrain(self, index):
         dyn, _ = index

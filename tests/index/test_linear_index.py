@@ -15,24 +15,26 @@ def index(medium_keyset):
 
 class TestLookup:
     def test_all_stored_keys_found(self, medium_keyset, index):
-        for key in medium_keyset.keys[::13]:
-            result = index.lookup(int(key))
-            assert result.found
-            assert index.store.key_at(result.position) == key
+        keys = medium_keyset.keys[::13]
+        result = index.lookup_batch(keys)
+        assert result.found.all()
+        assert np.array_equal(index.store.keys[result.positions], keys)
 
     def test_absent_key_not_found(self, medium_keyset, index):
         stored = set(medium_keyset.keys.tolist())
         probe = next(x for x in range(10_000) if x not in stored)
-        assert not index.lookup(probe).found
+        assert not index.lookup_batch([probe]).found.any()
 
     def test_accepts_raw_array(self):
         index = LinearLearnedIndex(np.arange(0, 100, 2))
-        assert index.lookup(42).found
+        assert index.lookup_batch([42]).found.all()
 
-    def test_prediction_clamped(self, index, medium_keyset):
-        n = len(index.store)
-        assert 0 <= index.predict_position(0) < n
-        assert 0 <= index.predict_position(10**9) < n
+    def test_prediction_clamped(self, index):
+        """Keys far outside the key range are predicted at an array
+        end, so their window still holds cells to search."""
+        result = index.lookup_batch([-10**9, 10**9])
+        assert not result.found.any()
+        assert (result.probes >= 1).all()
 
 
 class TestModelQuality:

@@ -1,75 +1,16 @@
-"""Range-scan tests across all three structures."""
+"""Range-scan tests for the B-Tree baseline."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import RMIAttackerCapability, poison_rmi
 from repro.data import Domain, KeySet, uniform_keyset
-from repro.index import BTree, RecursiveModelIndex, SortedStore
+from repro.index import BTree
 
 
 @pytest.fixture
 def keyset(rng):
     return uniform_keyset(1000, Domain(0, 19_999), rng)
-
-
-class TestSortedStoreRange:
-    def test_inclusive_bounds(self):
-        store = SortedStore(np.arange(0, 100, 10))
-        result = store.range_scan(10, 30)
-        assert store.keys[result.start:result.stop].tolist() == [10, 20, 30]
-
-    def test_empty_range(self):
-        store = SortedStore(np.arange(0, 100, 10))
-        result = store.range_scan(41, 49)
-        assert result.count == 0
-
-    def test_full_range(self):
-        store = SortedStore(np.arange(0, 100, 10))
-        result = store.range_scan(-5, 1000)
-        assert result.count == 10
-
-
-class TestRmiRange:
-    def test_matches_ground_truth(self, keyset):
-        rmi = RecursiveModelIndex.build_equal_size(keyset, 20)
-        lo, hi = 4000, 8000
-        got, probes = rmi.range_scan(lo, hi)
-        truth = keyset.keys[(keyset.keys >= lo) & (keyset.keys <= hi)]
-        assert got.tolist() == truth.tolist()
-        assert probes >= 0
-
-    def test_endpoints_are_stored_keys(self, keyset):
-        rmi = RecursiveModelIndex.build_equal_size(keyset, 20)
-        lo = int(keyset.keys[100])
-        hi = int(keyset.keys[200])
-        got, _ = rmi.range_scan(lo, hi)
-        assert got[0] == lo
-        assert got[-1] == hi
-        assert got.size == 101
-
-    def test_inverted_range_empty(self, keyset):
-        rmi = RecursiveModelIndex.build_equal_size(keyset, 20)
-        got, probes = rmi.range_scan(500, 400)
-        assert got.size == 0
-        assert probes == 0
-
-    def test_poisoning_inflates_scan_cost(self, keyset):
-        """The left-endpoint location pays the widened window."""
-        capability = RMIAttackerCapability(poisoning_percentage=15.0,
-                                           alpha=3.0)
-        attack = poison_rmi(keyset, 20, capability, max_exchanges=20)
-        poisoned = keyset.insert(attack.poison_keys)
-        clean = RecursiveModelIndex.build_equal_size(keyset, 20)
-        dirty = RecursiveModelIndex.build_equal_size(poisoned, 20)
-        spans = [(int(k), int(k) + 500) for k in keyset.keys[::37]]
-        clean_cost = float(np.mean(
-            [clean.range_scan(lo, hi)[1] for lo, hi in spans]))
-        dirty_cost = float(np.mean(
-            [dirty.range_scan(lo, hi)[1] for lo, hi in spans]))
-        assert dirty_cost > clean_cost
 
 
 class TestBtreeRange:
@@ -94,14 +35,11 @@ class TestBtreeRange:
        st.integers(min_value=0, max_value=5_000),
        st.integers(min_value=0, max_value=5_000))
 @settings(max_examples=50, deadline=None)
-def test_all_structures_agree_on_ranges(raw, a, b):
-    """Property: RMI, B-Tree and plain filtering return identical
+def test_btree_agrees_with_filtering_on_ranges(raw, a, b):
+    """Property: the B-Tree and plain filtering return identical
     ranges for arbitrary bounds."""
     lo, hi = min(a, b), max(a, b)
     ks = KeySet(raw)
     truth = [k for k in sorted(raw) if lo <= k <= hi]
-    rmi = RecursiveModelIndex.build_equal_size(ks, min(5, ks.n))
     tree = BTree.bulk_load(ks.keys, min_degree=3)
-    got_rmi, _ = rmi.range_scan(lo, hi)
-    assert got_rmi.tolist() == truth
     assert tree.range_scan(lo, hi) == truth

@@ -25,26 +25,26 @@ class TestBuildEqualSize:
 
     def test_every_stored_key_found(self, keyset):
         rmi = RecursiveModelIndex.build_equal_size(keyset, 20)
-        for key in keyset.keys[::37]:
-            result = rmi.lookup(int(key))
-            assert result.found
-            assert result.probes >= 1
-            assert rmi.store.key_at(result.position) == key
+        keys = keyset.keys[::37]
+        result = rmi.lookup_batch(keys)
+        assert result.found.all()
+        assert (result.probes >= 1).all()
+        assert np.array_equal(rmi.store.keys[result.positions], keys)
 
     def test_absent_keys_not_found(self, keyset):
         rmi = RecursiveModelIndex.build_equal_size(keyset, 20)
-        stored = set(keyset.keys.tolist())
         rng = np.random.default_rng(0)
-        for probe in rng.integers(0, 40_000, size=100):
-            if int(probe) not in stored:
-                assert not rmi.lookup(int(probe)).found
+        probes = rng.integers(0, 40_000, size=100)
+        absent = probes[~np.isin(probes, keyset.keys)]
+        result = rmi.lookup_batch(absent)
+        assert not result.found.any()
+        assert (result.positions == -1).all()
 
     def test_routing_respects_partitions(self, keyset):
         rmi = RecursiveModelIndex.build_equal_size(keyset, 10)
         parts = keyset.partition(10)
-        for j, part in enumerate(parts):
-            mid = int(part.keys[part.n // 2])
-            assert rmi.lookup(mid).model_index == j
+        mids = [int(part.keys[part.n // 2]) for part in parts]
+        assert rmi.lookup_batch(mids).model_index.tolist() == list(range(10))
 
     def test_second_stage_mse_nonnegative(self, keyset):
         rmi = RecursiveModelIndex.build_equal_size(keyset, 20)
@@ -58,28 +58,25 @@ class TestBuildEqualSize:
 
     def test_single_model(self, keyset):
         rmi = RecursiveModelIndex.build_equal_size(keyset, 1)
-        for key in keyset.keys[::101]:
-            assert rmi.lookup(int(key)).found
+        assert rmi.lookup_batch(keyset.keys[::101]).found.all()
 
     def test_accepts_raw_array(self):
         rmi = RecursiveModelIndex.build_equal_size(
             np.arange(0, 1000, 5), 4)
-        assert rmi.lookup(250).found
+        assert rmi.lookup_batch([250]).found.all()
 
 
 class TestBuildWithRoot:
     def test_piecewise_root_lookups(self, keyset):
         rmi = RecursiveModelIndex.build_with_root(
             keyset, 20, PiecewiseLinearRoot(32))
-        for key in keyset.keys[::53]:
-            assert rmi.lookup(int(key)).found
+        assert rmi.lookup_batch(keyset.keys[::53]).found.all()
 
     def test_lognormal_keys(self, rng):
         ks = lognormal_keyset(2000, Domain.of_size(200_000), rng)
         rmi = RecursiveModelIndex.build_with_root(
             ks, 25, PiecewiseLinearRoot(64))
-        for key in ks.keys[::41]:
-            assert rmi.lookup(int(key)).found
+        assert rmi.lookup_batch(ks.keys[::41]).found.all()
 
     def test_empty_experts_tolerated(self, rng):
         """A root that routes nothing to some experts must still work."""
@@ -87,8 +84,7 @@ class TestBuildWithRoot:
         rmi = RecursiveModelIndex.build_with_root(
             ks, 50, PiecewiseLinearRoot(8))
         assert rmi.n_models == 50
-        for key in ks.keys[::29]:
-            assert rmi.lookup(int(key)).found
+        assert rmi.lookup_batch(ks.keys[::29]).found.all()
 
 
 class TestErrorWindows:
@@ -150,8 +146,7 @@ def test_rmi_total_lookup_correctness(raw, n_models):
     ks = KeySet(raw)
     n_models = min(n_models, ks.n)
     rmi = RecursiveModelIndex.build_equal_size(ks, n_models)
-    step = max(1, ks.n // 23)
-    for key in ks.keys[::step]:
-        result = rmi.lookup(int(key))
-        assert result.found
-        assert rmi.store.key_at(result.position) == key
+    keys = ks.keys[::max(1, ks.n // 23)]
+    result = rmi.lookup_batch(keys)
+    assert result.found.all()
+    assert np.array_equal(rmi.store.keys[result.positions], keys)

@@ -1,4 +1,4 @@
-"""Unit tests for the sorted record store and last-mile searches."""
+"""Unit tests for the sorted record store and its last-mile search."""
 
 import numpy as np
 import pytest
@@ -26,98 +26,48 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SortedStore(np.array([1, 2, 2, 3]))
 
-    def test_len_and_key_at(self, store):
+    def test_len(self, store):
         assert len(store) == 8
-        assert store.key_at(0) == 10
-        assert store.key_at(7) == 80
 
     def test_keys_readonly(self, store):
         with pytest.raises(ValueError):
             store.keys[0] = 5
 
 
+def _search(store, key, predicted, max_error):
+    """One query through the batched window search."""
+    out = store.search_window_batch(np.asarray([key]),
+                                    np.asarray([predicted]), max_error)
+    return bool(out.found[0]), int(out.positions[0]), int(out.probes[0])
+
+
 class TestWindowSearch:
     def test_finds_with_exact_prediction(self, store):
-        result = store.search_window(30, predicted=2, max_error=0)
-        assert result.found
-        assert result.position == 2
-        assert result.probes == 1
+        assert _search(store, 30, predicted=2, max_error=0) == (True, 2, 1)
 
     def test_finds_within_window(self, store):
-        result = store.search_window(70, predicted=3, max_error=4)
-        assert result.found
-        assert result.position == 6
+        found, position, _ = _search(store, 70, predicted=3, max_error=4)
+        assert found
+        assert position == 6
 
     def test_miss_outside_window(self, store):
-        result = store.search_window(80, predicted=0, max_error=2)
-        assert not result.found
-        assert result.position == -1
+        found, position, _ = _search(store, 80, predicted=0, max_error=2)
+        assert not found
+        assert position == -1
 
     def test_absent_key_reports_not_found(self, store):
-        result = store.search_window(35, predicted=2, max_error=8)
-        assert not result.found
+        found, _, _ = _search(store, 35, predicted=2, max_error=8)
+        assert not found
 
     def test_window_clamped_to_array(self, store):
-        result = store.search_window(10, predicted=0, max_error=100)
-        assert result.found
-        assert result.position == 0
+        found, position, _ = _search(store, 10, predicted=0, max_error=100)
+        assert found
+        assert position == 0
 
     def test_probe_count_logarithmic(self, store):
-        result = store.search_window(50, predicted=4, max_error=4)
+        _, _, probes = _search(store, 50, predicted=4, max_error=4)
         # window of 9 cells -> at most ceil(log2(9)) + 1 = 5 probes
-        assert result.probes <= 5
-
-
-class TestExponentialSearch:
-    def test_exact_prediction_one_probe(self, store):
-        result = store.search_exponential(40, predicted=3)
-        assert result.found
-        assert result.position == 3
-        assert result.probes == 1
-
-    def test_gallops_right(self, store):
-        result = store.search_exponential(80, predicted=0)
-        assert result.found
-        assert result.position == 7
-
-    def test_gallops_left(self, store):
-        result = store.search_exponential(10, predicted=7)
-        assert result.found
-        assert result.position == 0
-
-    def test_absent_key(self, store):
-        result = store.search_exponential(45, predicted=3)
-        assert not result.found
-
-    def test_prediction_out_of_bounds_is_clamped(self, store):
-        result = store.search_exponential(80, predicted=1_000_000)
-        assert result.found
-        assert result.position == 7
-
-    def test_cost_grows_with_error(self, rng):
-        keys = np.arange(0, 100_000, 7)
-        store = SortedStore(keys)
-        target = int(keys[keys.size // 2])
-        exact = store.search_exponential(target, keys.size // 2)
-        far = store.search_exponential(target, 0)
-        assert exact.probes < far.probes
-
-
-@given(st.lists(st.integers(min_value=0, max_value=100_000), min_size=1,
-                max_size=300, unique=True),
-       st.integers(min_value=0, max_value=100_000),
-       st.integers(min_value=0, max_value=400))
-@settings(max_examples=60, deadline=None)
-def test_exponential_search_total_correctness(raw, query, predicted):
-    """Property: finds stored keys, rejects absent ones, any guess."""
-    keys = np.array(sorted(raw), dtype=np.int64)
-    store = SortedStore(keys)
-    result = store.search_exponential(query, predicted % keys.size)
-    if query in set(raw):
-        assert result.found
-        assert keys[result.position] == query
-    else:
-        assert not result.found
+        assert probes <= 5
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1,
@@ -134,6 +84,7 @@ def test_window_search_finds_key_when_window_covers_truth(raw, data):
     predicted = data.draw(st.integers(
         min_value=max(0, true_pos - error),
         max_value=min(keys.size - 1, true_pos + error)))
-    result = store.search_window(int(keys[true_pos]), predicted, error)
-    assert result.found
-    assert result.position == true_pos
+    found, position, _ = _search(store, int(keys[true_pos]), predicted,
+                                 error)
+    assert found
+    assert position == true_pos

@@ -26,9 +26,9 @@ class TestEndToEndRegressionAttack:
         dirty_index = LinearLearnedIndex(poisoned)
 
         # Every legitimate key still resolvable in both indexes.
-        for key in keyset.keys[::97]:
-            assert clean_index.lookup(int(key)).found
-            assert dirty_index.lookup(int(key)).found
+        legit = keyset.keys[::97]
+        assert clean_index.lookup_batch(legit).found.all()
+        assert dirty_index.lookup_batch(legit).found.all()
 
         # And lookups on legitimate keys got more expensive.
         queries = keyset.keys[::11]
@@ -67,10 +67,10 @@ class TestEndToEndRMIAttack:
         attack = poison_rmi(keyset, 10, capability, max_exchanges=10)
         poisoned = keyset.insert(attack.poison_keys)
         rmi = RecursiveModelIndex.build_equal_size(poisoned, 10)
-        for key in poisoned.keys[::41]:
-            result = rmi.lookup(int(key))
-            assert result.found
-            assert rmi.store.key_at(result.position) == key
+        keys = poisoned.keys[::41]
+        result = rmi.lookup_batch(keys)
+        assert result.found.all()
+        assert np.array_equal(rmi.store.keys[result.positions], keys)
 
 
 class TestAttackVsDefensePipeline:

@@ -85,7 +85,7 @@ class DynamicIndexMachine(RuleBasedStateMachine):
 
     @rule(key=_KEYS)
     def lookup(self, key):
-        assert self.index.lookup(key).found == (key in self.model)
+        assert self.index.lookup_batch([key]).found[0] == (key in self.model)
 
     @rule()
     def flush(self):

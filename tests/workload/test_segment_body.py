@@ -7,8 +7,9 @@ search's path length, so it depends on the table's size and the
 query's rank at that op, not only on membership; these tests pin
 that as-of answer to the op-by-op oracle on long segments where
 reads land on keys every effect kind moves, pin the path walk that
-counts it to a real table's search, pin the per-segment call budget,
-and bound the memory of one 40,000-op segment.
+counts it to the key-reading search of ``search_oracle``, pin the
+per-segment call budget, and bound the memory of one 40,000-op
+segment.
 """
 
 import tracemalloc
@@ -20,7 +21,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from replay_oracle import MIX, op_by_op
-from repro.index import SortedStore
 from repro.runtime import stable_seed_words
 from repro.workload import (
     OP_DELETE,
@@ -44,6 +44,7 @@ from repro.workload.columnar import (
     prefix_less_sums,
     search_probes,
 )
+from search_oracle import search_window
 
 #: Base keys are the multiples of 4 below POOL; the other pool keys
 #: are fresh.  Reads and mutations draw from the same pool, so reads
@@ -252,25 +253,23 @@ class TestPrefixLessSums:
 
 
 class TestSearchProbes:
-    """Equal to a binary search of a real table, for every table size
-    up to 200 and every rank in it, member or not, at batch sizes
-    either side of the walk's interpreted small-batch cut."""
+    """Equal to the oracle's binary search of a real table, for every
+    table size up to 200 and every rank in it, member or not, at batch
+    sizes either side of the walk's interpreted small-batch cut."""
 
     @pytest.fixture(scope="class")
     def cases(self):
         rows = []
         for size in range(201):
             table = np.arange(0, 2 * size, 2, dtype=np.int64)
-            store = SortedStore(table) if size else None
             for rank in range(size + 1):
                 # A member sits at its rank, a non-member in the gap
                 # just below it.
                 for member in ((False, True) if rank < size
                                else (False,)):
                     query = 2 * rank - 1 + member
-                    probes = (store.search_window(query, size - 1,
-                                                  size - 1).probes
-                              if size else 0)
+                    probes = search_window(table, query, size - 1,
+                                           size - 1).probes
                     rows.append((size, rank, member, probes))
         return np.asarray(rows, dtype=np.int64).T
 
